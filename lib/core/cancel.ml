@@ -3,19 +3,22 @@ exception Cancelled of string
 type t = {
   flag : string option Atomic.t;  (* [Some reason] once tripped *)
   deadline_ns : int64;  (* monotonic; [Int64.max_int] = no deadline *)
+  yield : unit -> unit;  (* run at every [check], before the trip test *)
 }
 
-let never = { flag = Atomic.make None; deadline_ns = Int64.max_int }
-let create () = { flag = Atomic.make None; deadline_ns = Int64.max_int }
+let create ?(yield = ignore) () =
+  { flag = Atomic.make None; deadline_ns = Int64.max_int; yield }
+
+let never = create ()
 
 let deadline_reason = "deadline-exceeded"
 
-let with_deadline_ms ms =
+let with_deadline_ms ?(yield = ignore) ms =
   let now = Ace_trace.Trace.now_ns () in
   let budget =
     if ms <= 0 then 0L else Int64.mul (Int64.of_int ms) 1_000_000L
   in
-  { flag = Atomic.make None; deadline_ns = Int64.add now budget }
+  { flag = Atomic.make None; deadline_ns = Int64.add now budget; yield }
 
 let cancel ?(reason = "cancelled") t =
   ignore (Atomic.compare_and_set t.flag None (Some reason))
@@ -39,6 +42,7 @@ let is_cancelled t = tripped t <> None
 let reason t = tripped t
 
 let check t =
+  t.yield ();
   match tripped t with None -> () | Some r -> raise (Cancelled r)
 
 let remaining_ms t =

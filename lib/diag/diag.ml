@@ -89,20 +89,30 @@ let to_string ?source d =
       Printf.sprintf "%s at line %d, column %d: %s\n  %s\n  %s" head line col
         d.message text caret
 
+(* Runs of characters that need no escape are copied as one substring. *)
+let json_escape_into buf s =
+  let n = String.length s in
+  let rec go from i =
+    if i = n then Buffer.add_substring buf s from (i - from)
+    else
+      match String.unsafe_get s i with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+          Buffer.add_substring buf s from (i - from);
+          (match c with
+          | '"' -> Buffer.add_string buf "\\\""
+          | '\\' -> Buffer.add_string buf "\\\\"
+          | '\n' -> Buffer.add_string buf "\\n"
+          | '\r' -> Buffer.add_string buf "\\r"
+          | '\t' -> Buffer.add_string buf "\\t"
+          | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+          go (i + 1) (i + 1)
+      | _ -> go from (i + 1)
+  in
+  go 0 0
+
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  json_escape_into buf s;
   Buffer.contents buf
 
 let to_json ?source d =

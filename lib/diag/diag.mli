@@ -55,3 +55,7 @@ val to_json : ?source:string -> t -> string
 (** Escape a string for inclusion in a JSON string literal (shared by the
     JSON and SARIF renderers). *)
 val json_escape : string -> string
+
+(** [json_escape_into buf s] appends [json_escape s] to [buf] without an
+    intermediate string. *)
+val json_escape_into : Buffer.t -> string -> unit

@@ -1,13 +1,16 @@
 module Trace = Ace_trace.Trace
 
+(* A plain loop over a local ref: the compiler keeps [h] unboxed, where a
+   ref captured by a [String.iter] closure boxes an Int64 per byte.  Warm
+   hits checksum whole payloads under the cache lock. *)
 let fnv1a64_hex s =
-  let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   Printf.sprintf "%016Lx" !h
 
 let format_version = 1
@@ -193,8 +196,16 @@ let fsync_dir dir =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       (try Unix.close fd with Unix.Unix_error _ -> ())
 
+(* Per-process temp-file sequence: stores run outside [t.lock], so two
+   threads storing one key must not share a temp path. *)
+let tmp_seq = Atomic.make 0
+
+(* The write, both fsyncs and the rename run outside [t.lock], so a warm
+   [find] never waits on the disk.  The rename is atomic: a concurrent
+   [find] reads either the old entry or the complete new one.  A [gc]
+   that sweeps an in-flight temp file turns that store into a no-op (the
+   rename fails and is swallowed like any other I/O error). *)
 let store t key payload =
-  with_lock t @@ fun () ->
   try
     let path = entry_path t key in
     let header =
@@ -222,7 +233,8 @@ let store t key payload =
       in
       let tmp =
         Filename.concat t.dir
-          (Printf.sprintf ".tmp.%s.%d" key (Unix.getpid ()))
+          (Printf.sprintf ".tmp.%s.%d.%d" key (Unix.getpid ())
+             (Atomic.fetch_and_add tmp_seq 1))
       in
       let oc = open_out_bin tmp in
       (try
@@ -238,6 +250,7 @@ let store t key payload =
       Sys.rename tmp path;
       fsync_dir t.dir
     end;
+    with_lock t @@ fun () ->
     t.stores <- t.stores + 1;
     ignore (evict_over_cap t)
   with Sys_error _ | Unix.Unix_error _ -> ()

@@ -26,15 +26,19 @@
     oldest-first until under the cap.
 
     Every operation is total: filesystem errors degrade to misses or
-    no-ops, never exceptions.  All operations take an internal lock, so
-    one cache may be shared by the server's connection threads.
+    no-ops, never exceptions.  One cache may be shared by the server's
+    connection threads: reads, eviction, gc and stats take an internal
+    lock, while a store writes, fsyncs and renames its entry outside it
+    (each through its own temp file) and locks only to count the store
+    and run the eviction sweep, so a warm read never waits on the disk.
     Hits/misses/evictions also tick the global
     {!Ace_trace.Trace.Counter} set. *)
 
 type t
 
 val fnv1a64_hex : string -> string
-(** FNV-1a 64-bit hash, as 16 lowercase hex digits. *)
+(** FNV-1a 64-bit hash, as 16 lowercase hex digits.  Allocates only the
+    result string. *)
 
 val format_version : int
 

@@ -6,15 +6,38 @@ let err_deadline = "deadline-exceeded"
 let err_overloaded = "overloaded"
 let err_internal = "internal-error"
 
-let str s = "\"" ^ Ace_diag.Diag.json_escape s ^ "\""
+(* Replies carry multi-megabyte wirelists, so rendering copies each byte
+   once per nesting level: [str] escapes into one buffer sized for a few
+   escapes per line, and [arr]/[obj] are a single [String.concat] over a
+   flat list of parts. *)
+let str s =
+  let n = String.length s in
+  let buf = Buffer.create (n + (n / 8) + 2) in
+  Buffer.add_char buf '"';
+  Ace_diag.Diag.json_escape_into buf s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
 let int = string_of_int
 let bool = string_of_bool
-let arr xs = "[" ^ String.concat "," xs ^ "]"
+
+let arr xs =
+  let[@tail_mod_cons] rec rest = function
+    | [] -> [ "]" ]
+    | x :: xs -> "," :: x :: rest xs
+  in
+  String.concat ""
+    (match xs with [] -> [ "[]" ] | x :: xs -> "[" :: x :: rest xs)
 
 let obj fields =
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields)
-  ^ "}"
+  let[@tail_mod_cons] rec rest = function
+    | [] -> [ "}" ]
+    | (k, v) :: fs -> "," :: str k :: ":" :: v :: rest fs
+  in
+  String.concat ""
+    (match fields with
+    | [] -> [ "{}" ]
+    | (k, v) :: fs -> "{" :: str k :: ":" :: v :: rest fs)
 
 let rec render = function
   | Json.Null -> "null"

@@ -80,14 +80,13 @@ let diags_json diags = Proto.arr (List.map (fun d -> Diag.to_json d) diags)
 (* Compute path                                                       *)
 
 (* Serialize heavy work: shards of concurrent requests would otherwise
-   multiply domains.  Waiters poll their cancel token, so a queued
-   request still honours its deadline. *)
+   multiply domains.  Waiters poll their cancel token (which also yields
+   the domain), so a queued request still honours its deadline. *)
 let with_extract_lock t cancel f =
   let rec acquire () =
     if Mutex.try_lock t.extract_lock then ()
     else begin
       Cancel.check cancel;
-      Thread.yield ();
       Unix.sleepf 0.001;
       acquire ()
     end
@@ -197,9 +196,13 @@ let request_params t (r : Proto.request) =
     | Some ms -> ms
     | None -> t.config.default_deadline_ms
   in
+  (* Every connection thread shares this domain.  Yielding at each cancel
+     checkpoint lets a waiting warm hit run beside a cold extraction
+     instead of waiting for the runtime's 50 ms tick. *)
   let cancel =
-    if deadline_ms > 0 then Cancel.with_deadline_ms deadline_ms
-    else Cancel.never
+    if deadline_ms > 0 then
+      Cancel.with_deadline_ms ~yield:Thread.yield deadline_ms
+    else Cancel.create ~yield:Thread.yield ()
   in
   (jobs, r.Proto.tile, cancel)
 

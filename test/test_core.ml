@@ -583,9 +583,82 @@ let test_warning_on_lost_label () =
   let raw = Ace_core.Engine.run Ace_core.Engine.default_config source ~labels in
   check "warning emitted" true (raw.Ace_core.Engine.warnings <> [])
 
+(* ------------------------------------------------------------------ *)
+(* Cancel: yield hook and trip reasons                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Cancel = Ace_core.Cancel
+
+let counting () =
+  let n = ref 0 in
+  (n, fun () -> incr n)
+
+let check_raises_reason name reason f =
+  match f () with
+  | () -> Alcotest.failf "%s: expected Cancelled %S" name reason
+  | exception Cancel.Cancelled r -> Alcotest.(check string) name reason r
+
+let test_cancel_check_yields () =
+  let n, yield = counting () in
+  let t = Cancel.create ~yield () in
+  Cancel.check t;
+  Cancel.check t;
+  check_int "one yield per check" 2 !n;
+  (* only check is a scheduling point *)
+  ignore (Cancel.is_cancelled t, Cancel.reason t, Cancel.remaining_ms t);
+  check_int "queries do not yield" 2 !n;
+  let n2, yield2 = counting () in
+  Cancel.check (Cancel.with_deadline_ms ~yield:yield2 60_000);
+  check_int "deadline token yields too" 1 !n2
+
+let test_cancel_never_inert () =
+  for _ = 1 to 1000 do
+    Cancel.check Cancel.never
+  done;
+  check "never trips" false (Cancel.is_cancelled Cancel.never);
+  check "no deadline" true (Cancel.remaining_ms Cancel.never = None);
+  (* the default hook of a fresh token is inert as well *)
+  Cancel.check (Cancel.create ())
+
+let test_cancel_reasons () =
+  let n, yield = counting () in
+  let d = Cancel.with_deadline_ms ~yield 0 in
+  check_raises_reason "deadline reason" "deadline-exceeded" (fun () ->
+      Cancel.check d);
+  check_int "yields before raising" 1 !n;
+  Cancel.cancel ~reason:"late" d;
+  check "first reason wins" true (Cancel.reason d = Some "deadline-exceeded");
+  let m = Cancel.create ~yield () in
+  Cancel.check m;
+  Cancel.cancel ~reason:"client-gone" m;
+  check_raises_reason "manual reason" "client-gone" (fun () -> Cancel.check m);
+  let plain = Cancel.create () in
+  Cancel.cancel plain;
+  check_raises_reason "default reason" "cancelled" (fun () ->
+      Cancel.check plain)
+
+let test_extraction_yields_per_stop () =
+  let n, yield = counting () in
+  let cancel = Cancel.create ~yield () in
+  let design =
+    Ace_cif.Design.of_ast (Ace_workloads.Chips.inverter_chain ~n:4 ())
+  in
+  let _, stats = Ace_core.Extractor.extract_with_stats ~cancel design in
+  check "yields at every scanline stop" true
+    (!n >= stats.Ace_core.Extractor.stops && !n > 0)
+
 let () =
   Alcotest.run "core"
     [
+      ( "cancel",
+        [
+          Alcotest.test_case "check runs the yield hook" `Quick
+            test_cancel_check_yields;
+          Alcotest.test_case "never is inert" `Quick test_cancel_never_inert;
+          Alcotest.test_case "trip reasons kept" `Quick test_cancel_reasons;
+          Alcotest.test_case "extraction yields per stop" `Quick
+            test_extraction_yields_per_stop;
+        ] );
       ( "connectivity",
         [
           Alcotest.test_case "empty" `Quick test_empty;

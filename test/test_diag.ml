@@ -274,9 +274,91 @@ let test_agreement_errors () =
       "DS 1; DF; E"; "DF; E"; "(x; E"; "L ND; B 2 2 0 0;";
     ]
 
+(* ------------------------------------------------------------------ *)
+(* JSON escaping and the daemon's reply renderers                       *)
+(* ------------------------------------------------------------------ *)
+
+module Proto = Ace_serve.Proto
+
+(* The per-character escaper and the [^]-chained renderers the buffered
+   ones replaced: the output must stay byte-identical. *)
+let escape_per_char s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let concat_str s = "\"" ^ escape_per_char s ^ "\""
+let concat_arr xs = "[" ^ String.concat "," xs ^ "]"
+
+let concat_obj fields =
+  "{"
+  ^ String.concat "," (List.map (fun (k, v) -> concat_str k ^ ":" ^ v) fields)
+  ^ "}"
+
+(* Strings rich in the characters that need escapes. *)
+let gen_json_text =
+  let open QCheck2.Gen in
+  string_size
+    ~gen:
+      (frequency
+         [
+           (6, printable);
+           (3, char_range '\000' '\031');
+           (1, return '"');
+           (1, return '\\');
+           (1, char);
+         ])
+    (int_range 0 200)
+
+let prop_str_escapes s =
+  Proto.str s = "\"" ^ Diag.json_escape s ^ "\"" && Proto.str s = concat_str s
+
+let prop_escape_into_appends (prefix, s) =
+  let buf = Buffer.create 4 in
+  Buffer.add_string buf prefix;
+  Diag.json_escape_into buf s;
+  Buffer.contents buf = prefix ^ escape_per_char s
+
+let prop_arr_obj_unchanged kvs =
+  let vs = List.map snd kvs in
+  Proto.arr vs = concat_arr vs && Proto.obj kvs = concat_obj kvs
+
+let test_render_edges () =
+  check_string "empty arr" "[]" (Proto.arr []);
+  check_string "empty obj" "{}" (Proto.obj []);
+  check_string "nested" {|{"a":[1,"x\n"],"b\u0001":{}}|}
+    (Proto.obj
+       [
+         ("a", Proto.arr [ Proto.int 1; Proto.str "x\n" ]);
+         ("b\001", Proto.obj []);
+       ])
+
 let () =
   Alcotest.run "diag"
     [
+      ( "json",
+        [
+          Tutil.qtest ~count:500 "Proto.str = quoted json_escape" gen_json_text
+            prop_str_escapes;
+          Tutil.qtest ~count:300 "json_escape_into appends the escape"
+            QCheck2.Gen.(pair gen_json_text gen_json_text)
+            prop_escape_into_appends;
+          Tutil.qtest ~count:300 "arr and obj byte-identical to concat"
+            QCheck2.Gen.(small_list (pair gen_json_text gen_json_text))
+            prop_arr_obj_unchanged;
+          Alcotest.test_case "render edge cases" `Quick test_render_edges;
+        ] );
       ( "diag",
         [
           Alcotest.test_case "text rendering" `Quick test_diag_text;

@@ -16,12 +16,15 @@
      wedged or dead daemon;
    - SIGKILL + restart: stale temp files are swept and the persisted
      cache serves byte-identical warm results;
+   - warm hits keep completing while a cold extraction runs on another
+     connection (no head-of-line blocking on the daemon's one domain);
    - sustained overload yields structured overloaded rejections;
    - oversized request lines are drained and rejected without ballooning
      memory, and the connection stays usable.
 
    The crash-safe cache and the fault-spec parser also get direct
-   in-process unit coverage (eviction order needs planted mtimes). *)
+   in-process unit coverage (eviction order needs planted mtimes,
+   concurrent stores of one key need threads in one process). *)
 
 module Json = Ace_trace.Json
 module Serve = Ace_serve
@@ -903,6 +906,115 @@ let test_cache_unit () =
     (Cache.find c2 "0000000000000002" = Some payload
     && Cache.find c2 "0000000000000003" = None)
 
+(* Stores write outside the cache lock, each through its own temp file:
+   eight threads racing on one key leave exactly one complete entry. *)
+let test_cache_concurrent_store () =
+  let module Cache = Serve.Cache in
+  let dir = scratch () in
+  let c =
+    match Cache.open_dir ~faults:(Serve.Faults.none ()) dir with
+    | Ok c -> c
+    | Error m -> failwith m
+  in
+  let key = "0123456789abcdef" in
+  (* equal lengths, distinct bytes: two writers sharing one file would
+     interleave into an entry that fails its checksum *)
+  let payloads =
+    List.init 8 (fun k ->
+        String.init (256 * 1024) (fun i -> Char.chr (32 + ((i + k) mod 90))))
+  in
+  let go = Atomic.make false in
+  let threads =
+    List.map
+      (fun payload ->
+        Thread.create
+          (fun () ->
+            while not (Atomic.get go) do
+              Thread.yield ()
+            done;
+            Cache.store c key payload)
+          ())
+      payloads
+  in
+  Atomic.set go true;
+  List.iter Thread.join threads;
+  let names = Array.to_list (Sys.readdir dir) in
+  check "concurrent store: exactly one entry"
+    (List.filter (fun n -> Filename.check_suffix n ".ace") names
+    = [ key ^ ".ace" ]);
+  check "concurrent store: no temp file left behind"
+    (not (List.exists (String.starts_with ~prefix:".tmp") names));
+  check "concurrent store: find returns a stored payload"
+    (match Cache.find c key with
+    | Some p -> List.mem p payloads
+    | None -> false);
+  let s = Cache.stats c in
+  check "concurrent store: every store landed, none quarantined"
+    (s.Cache.stores = 8 && s.Cache.quarantined = 0)
+
+let test_fnv_vectors () =
+  let h = Serve.Cache.fnv1a64_hex in
+  check_s "fnv1a64: empty string" (h "") "cbf29ce484222325";
+  check_s "fnv1a64: \"a\"" (h "a") "af63dc4c8601ec8c";
+  check_s "fnv1a64: \"foobar\"" (h "foobar") "85944171f73967e8"
+
+(* ------------------------------------------------------------------ *)
+(* 11b. No head-of-line blocking: warm hits run beside a cold request *)
+
+(* All connection threads share the daemon's one domain.  A cold
+   extraction yields at its cancel checkpoints, so warm hits on another
+   connection keep completing while it runs instead of waiting one 50 ms
+   runtime tick each. *)
+let test_warm_beside_cold () =
+  let dir = scratch () in
+  let sock = Filename.concat dir "s.sock" in
+  let cache_dir = Filename.concat dir "cache" in
+  let pid = start_socket_daemon [ "--cache-dir"; cache_dir ] sock in
+  let conn_b = connect sock in
+  let warm_req = extract_req ~id:1 inverter_cif in
+  let primed = jparse (rpc conn_b warm_req) in
+  check "no-hol: small chip primed" (jbool (jget primed "ok"));
+  let riscb =
+    List.find (fun r -> r.Chips.chip_name = "riscb") Chips.paper_suite
+  in
+  let cold_req =
+    extract_req ~id:2
+      (Ace_cif.Writer.to_string
+         (Ace_cif.Design.ast (riscb.Chips.build ~scale:1.0)))
+  in
+  let sent_at = Atomic.make infinity and replied_at = Atomic.make infinity in
+  let cold_ok = ref false in
+  let a =
+    Thread.create
+      (fun () ->
+        let conn_a = connect sock in
+        Atomic.set sent_at (Unix.gettimeofday ());
+        let r = jparse (rpc conn_a cold_req) in
+        Atomic.set replied_at (Unix.gettimeofday ());
+        cold_ok := jbool (jget r "ok") && not (jbool (jget r "cached"));
+        close_conn conn_a)
+      ()
+  in
+  (* count only the hits that completed while A was in flight *)
+  let hits = ref 0 and all_cached = ref true in
+  while Atomic.get replied_at = infinity do
+    let r = jparse (rpc conn_b warm_req) in
+    let t = Unix.gettimeofday () in
+    if not (jbool (jget r "cached")) then all_cached := false
+    else if t >= Atomic.get sent_at && t <= Atomic.get replied_at then
+      incr hits
+  done;
+  Thread.join a;
+  let a_wall = Atomic.get replied_at -. Atomic.get sent_at in
+  let needed = int_of_float (5.0 *. a_wall /. 0.050) in
+  check "no-hol: cold request ok" !cold_ok;
+  check "no-hol: every warm reply cached" !all_cached;
+  Printf.printf "  no-hol: %d warm hits during a %.3f s cold request (need %d)\n%!"
+    !hits a_wall needed;
+  check "no-hol: warm hits keep flowing" (!hits >= needed);
+  close_conn conn_b;
+  shutdown_daemon pid sock
+
 (* ------------------------------------------------------------------ *)
 (* 12. Fault-spec parsing                                             *)
 
@@ -984,6 +1096,9 @@ let () =
   test_overload ();
   test_too_large ();
   test_cache_unit ();
+  test_cache_concurrent_store ();
+  test_fnv_vectors ();
+  test_warm_beside_cold ();
   test_fault_specs ();
   test_oom_soft ();
   test_cache_gc_cli ();

@@ -33,18 +33,7 @@ type result = {
   fallback : bool;  (** the verdict came from the flat comparator *)
 }
 
-(* Same hashing discipline as Match. *)
-let mix h x = (h * 1000003) + x + 0x9e3779b9
-
-let hash_sorted ints =
-  List.fold_left mix 0x1234567 (List.sort Int.compare ints) land max_int
-
-let str_code s =
-  String.fold_left (fun h c -> mix h (Char.code c)) 0x5EED s land max_int
-
-let type_code = function
-  | Ace_tech.Nmos.Enhancement -> 3
-  | Ace_tech.Nmos.Depletion -> 4
+let mix = Refine.mix
 
 (* ---------- growable union-find over glue nets -------------------------- *)
 
@@ -92,10 +81,21 @@ type gside = {
   g_devs : gdev array;
 }
 
-(* Seeded refinement over a glue graph pair; [None] = correspond,
-   [Some ()] = the color multisets differ.  Mirrors Match.run's loop with
-   (role, net) terminal lists instead of fixed gate/source/drain. *)
-let glue_compare ~vdd ~gnd a b =
+let glue_colors ?cancel ~nets ~seed devs =
+  let g = Refine.graph ~nets (Array.map snd devs) in
+  let off = g.Refine.dev_off in
+  let ncolor = Array.init nets seed in
+  let dcolor = Array.map fst devs in
+  ignore
+    (Refine.run ?cancel g ~net_color:ncolor ~dev_color:dcolor (fun k ->
+         mix dcolor.(k) (Refine.hash_role_terms g ncolor off.(k) off.(k + 1))));
+  Refine.sort dcolor 0 (Array.length dcolor);
+  (Refine.used_net_multiset g ncolor, dcolor)
+
+(* Seeded refinement over a glue graph pair; [true] = the color multisets
+   correspond.  Mirrors Match.run's loop with (role, net) terminal lists
+   instead of fixed gate/source/drain. *)
+let glue_compare ?cancel ~vdd ~gnd a b =
   (* seeds: a name on exactly one net of EACH side pins the pair; the
      rails pin through their configured names *)
   let names_of side =
@@ -121,7 +121,7 @@ let glue_compare ~vdd ~gnd a b =
             let color =
               if key = String.uppercase_ascii vdd then 0x56DD
               else if key = String.uppercase_ascii gnd then 0x06ED
-              else str_code key
+              else Refine.str_code key
             in
             Hashtbl.replace seeds n color
         | _ -> ())
@@ -129,55 +129,13 @@ let glue_compare ~vdd ~gnd a b =
     seeds
   in
   let sa = seed_of ta and sb = seed_of tb in
-  let refine side seeds =
-    let ncolor =
-      Array.init side.g_nets (fun n ->
-          match Hashtbl.find_opt seeds n with Some c -> c | None -> 0)
-    in
-    let dcolor = Array.map (fun d -> d.gtag) side.g_devs in
-    let used = Array.make side.g_nets false in
-    Array.iter
-      (fun d -> List.iter (fun (_, n) -> used.(n) <- true) d.gterms)
-      side.g_devs;
-    let distinct () =
-      let l = ref [] in
-      Array.iteri (fun n u -> if u then l := ncolor.(n) :: !l) used;
-      Array.iter (fun c -> l := c :: !l) dcolor;
-      List.length (List.sort_uniq Int.compare !l)
-    in
-    let cap = side.g_nets + Array.length side.g_devs + 2 in
-    let rounds = ref 0 in
-    let stable = ref false in
-    while not !stable do
-      incr rounds;
-      let before = distinct () in
-      Array.iteri
-        (fun i d ->
-          dcolor.(i) <-
-            mix dcolor.(i)
-              (hash_sorted
-                 (List.map (fun (role, n) -> mix ncolor.(n) role) d.gterms)))
-        side.g_devs;
-      let incid = Array.make side.g_nets [] in
-      Array.iteri
-        (fun i d ->
-          List.iter
-            (fun (role, n) -> incid.(n) <- mix dcolor.(i) role :: incid.(n))
-            d.gterms)
-        side.g_devs;
-      Array.iteri
-        (fun n u -> if u then ncolor.(n) <- mix ncolor.(n) (hash_sorted incid.(n)))
-        used;
-      let after = distinct () in
-      if after <= before || !rounds > cap then stable := true
-    done;
-    let net_multiset = ref [] in
-    Array.iteri (fun n u -> if u then net_multiset := ncolor.(n) :: !net_multiset) used;
-    ( List.sort Int.compare !net_multiset,
-      List.sort Int.compare (Array.to_list dcolor) )
+  let colors side seeds =
+    glue_colors ?cancel ~nets:side.g_nets
+      ~seed:(fun n ->
+        match Hashtbl.find_opt seeds n with Some c -> c | None -> 0)
+      (Array.map (fun d -> (d.gtag, d.gterms)) side.g_devs)
   in
-  let na, da = refine a sa and nb, db = refine b sb in
-  na = nb && da = db
+  colors a sa = colors b sb
 
 (* ---------- cell pairing ------------------------------------------------ *)
 
@@ -206,6 +164,7 @@ let flat_fallback ?cancel ?with_sizes ?tolerance ~vdd ~gnd ?max_findings
 
 let run ?cancel ?(with_sizes = true) ?(tolerance = 0.) ?(vdd = "VDD")
     ?(gnd = "GND") ?max_findings ~layout ~reference ?ref_view () =
+  Trace.with_span "lvs.hier" @@ fun () ->
   let matches = ref 0 and hits = ref 0 in
   let finish ~fallback r =
     { r; cell_matches = !matches; cell_hits = !hits; fallback }
@@ -549,8 +508,8 @@ let run ?cancel ?(with_sizes = true) ?(tolerance = 0.) ?(vdd = "VDD")
                       k
                 in
                 let dev_tag dtype l w =
-                  if with_sizes then mix (mix (mix 101 (type_code dtype)) l) w
-                  else mix 101 (type_code dtype)
+                  let t = Refine.type_code dtype in
+                  if with_sizes then mix (mix (mix 101 t) l) w else mix 101 t
                 in
                 let lay_devs =
                   List.map
@@ -634,7 +593,7 @@ let run ?cancel ?(with_sizes = true) ?(tolerance = 0.) ?(vdd = "VDD")
                     g_devs = Array.of_list ref_devs;
                   }
                 in
-                if glue_compare ~vdd ~gnd lay_side ref_side then
+                if glue_compare ?cancel ~vdd ~gnd lay_side ref_side then
                   Some (lay_side, ref_side)
                 else None
               end

@@ -48,3 +48,15 @@ val run :
   ?ref_view:Reference.hview ->
   unit ->
   result
+
+val glue_colors :
+  ?cancel:Ace_core.Cancel.t ->
+  nets:int ->
+  seed:(int -> int) ->
+  (int * (int * int) list) array ->
+  int array * int array
+(** The refinement behind the glue verdict, for one side: devices given as
+    [(tag, (role, net) terminals)] over nets [0 .. nets - 1], initial net
+    colors from [seed].  Returns the sorted colors of the nets with a
+    terminal and the sorted device colors; two sides correspond when both
+    arrays are equal.  [cancel] is checked once per round. *)

@@ -26,55 +26,66 @@ type stats = {
 type outcome = Clean | Mismatch | Inconclusive
 type result = { outcome : outcome; findings : finding list; stats : stats }
 
-(* Same hashing discipline as Ace_netlist.Compare, so the two comparators
-   agree on what "same structure" means. *)
-let mix h x = (h * 1000003) + x + 0x9e3779b9
-
-let hash_sorted ints =
-  List.fold_left mix 0x1234567 (List.sort Int.compare ints) land max_int
-
-let str_code s =
-  String.fold_left (fun h c -> mix h (Char.code c)) 0x5EED s land max_int
-
-let type_code = function Nmos.Enhancement -> 3 | Nmos.Depletion -> 4
+let mix = Refine.mix
 
 (* One side of the comparison: the reduced circuit restricted to nets
    carrying at least one device terminal (deviceless nets contribute no
-   structure to a switch-level comparison), with per-round color history
-   (newest first) for the localization pairing. *)
+   structure to a switch-level comparison), with per-round device color
+   history (newest first) for the localization pairing.  [net_pos] maps a
+   circuit net to its comparison position (-1 when deviceless).  In
+   [graph], device [i]'s terminals are its gate, source and drain, at
+   [3i], [3i + 1] and [3i + 2]. *)
 type side = {
   c : Circuit.t;
   mult : int array;
   nets : int array;
-  net_pos : (int, int) Hashtbl.t;
-  mutable net_color : int array;
-  mutable dev_color : int array;
-  mutable net_hist : int array list;
+  net_pos : int array;
+  graph : Refine.t;
+  net_color : int array;  (** refined in place *)
+  mutable dev_color : int array;  (** fresh each round *)
   mutable dev_hist : int array list;
 }
 
 let side_of (r : Reduce.t) =
   let c = r.Reduce.circuit in
-  let used = Array.make (Array.length c.Circuit.nets) false in
+  let devices = c.Circuit.devices in
+  let net_pos = Array.make (Array.length c.Circuit.nets) (-1) in
   Array.iter
     (fun (d : Circuit.device) ->
-      used.(d.gate) <- true;
-      used.(d.source) <- true;
-      used.(d.drain) <- true)
-    c.Circuit.devices;
-  let nets = ref [] in
-  Array.iteri (fun i u -> if u then nets := i :: !nets) used;
-  let nets = Array.of_list (List.rev !nets) in
-  let net_pos = Hashtbl.create (Array.length nets) in
-  Array.iteri (fun i n -> Hashtbl.replace net_pos n i) nets;
+      net_pos.(d.gate) <- 0;
+      net_pos.(d.source) <- 0;
+      net_pos.(d.drain) <- 0)
+    devices;
+  let n_nets = ref 0 in
+  Array.iteri
+    (fun n p ->
+      if p >= 0 then begin
+        net_pos.(n) <- !n_nets;
+        incr n_nets
+      end)
+    net_pos;
+  let nets = Array.make !n_nets 0 in
+  Array.iteri (fun n p -> if p >= 0 then nets.(p) <- n) net_pos;
+  let graph =
+    Refine.graph ~nets:!n_nets
+      (Array.map
+         (fun (d : Circuit.device) ->
+           [
+             (1, net_pos.(d.gate));
+             (2, net_pos.(d.source));
+             (2, net_pos.(d.drain));
+           ])
+         devices)
+  in
   {
     c;
     mult = r.Reduce.mult;
     nets;
     net_pos;
-    net_color = [||];
-    dev_color = [||];
-    net_hist = [];
+    graph;
+    net_color = Array.make !n_nets 0;
+    dev_color =
+      Array.map (fun (d : Circuit.device) -> Refine.type_code d.dtype) devices;
     dev_hist = [];
   }
 
@@ -105,7 +116,7 @@ let seed_table a b ~vdd ~gnd =
     (fun key va ->
       match (va, Hashtbl.find_opt tb key) with
       | `One na, Some (`One nb) ->
-          let color = str_code key in
+          let color = Refine.str_code key in
           Hashtbl.replace seeds (`A, na) color;
           Hashtbl.replace seeds (`B, nb) color
       | _ -> ())
@@ -113,8 +124,7 @@ let seed_table a b ~vdd ~gnd =
   List.iter
     (fun (rail, color) ->
       match (Circuit.find_rail a.c rail, Circuit.find_rail b.c rail) with
-      | Some na, Some nb
-        when Hashtbl.mem a.net_pos na && Hashtbl.mem b.net_pos nb ->
+      | Some na, Some nb when a.net_pos.(na) >= 0 && b.net_pos.(nb) >= 0 ->
           Hashtbl.replace seeds (`A, na) color;
           Hashtbl.replace seeds (`B, nb) color
       | _ -> ())
@@ -122,58 +132,36 @@ let seed_table a b ~vdd ~gnd =
   seeds
 
 let init_colors tag seeds side =
-  side.net_color <-
-    Array.map
-      (fun n ->
-        match Hashtbl.find_opt seeds (tag, n) with Some c -> c | None -> 0)
-      side.nets;
-  side.dev_color <-
-    Array.map
-      (fun (d : Circuit.device) -> type_code d.dtype)
-      side.c.Circuit.devices;
-  side.net_hist <- [ Array.copy side.net_color ];
-  side.dev_hist <- [ Array.copy side.dev_color ]
-
-let distinct a = List.length (List.sort_uniq Int.compare (Array.to_list a))
+  Array.iteri
+    (fun p n ->
+      side.net_color.(p) <-
+        (match Hashtbl.find_opt seeds (tag, n) with Some c -> c | None -> 0))
+    side.nets;
+  side.dev_hist <- [ side.dev_color ]
 
 (* One refinement round, identical in shape to Compare.refine: devices
    rehash from gate color and the unordered source/drain pair, nets from
-   the incident device colors with terminal roles. *)
+   the incident device colors with terminal roles (gate 1, channel 2).
+   Each round's device colors are a fresh array, so the history can keep
+   it as is. *)
 let round side =
-  let c = side.c in
-  let pos net = Hashtbl.find side.net_pos net in
-  let dev_color' =
+  let nc = side.net_color and t = side.graph.Refine.term_net in
+  let dc' =
     Array.mapi
-      (fun i (d : Circuit.device) ->
-        let g = side.net_color.(pos d.gate) in
-        let s = side.net_color.(pos d.source)
-        and dr = side.net_color.(pos d.drain) in
-        let sd = hash_sorted [ s; dr ] in
-        mix (mix (mix side.dev_color.(i) g) sd) 17)
-      c.Circuit.devices
+      (fun i d ->
+        let k = 3 * i in
+        let sd = Refine.hash_pair nc.(t.(k + 1)) nc.(t.(k + 2)) in
+        mix (mix (mix d nc.(t.(k))) sd) 17)
+      side.dev_color
   in
-  let incidences = Array.make (Array.length side.nets) [] in
-  Array.iteri
-    (fun i (d : Circuit.device) ->
-      let add role net =
-        let p = pos net in
-        incidences.(p) <- mix dev_color'.(i) role :: incidences.(p)
-      in
-      add 1 d.gate;
-      add 2 d.source;
-      add 2 d.drain)
-    c.Circuit.devices;
-  let net_color' =
-    Array.mapi
-      (fun i _ -> mix side.net_color.(i) (hash_sorted incidences.(i)))
-      side.nets
-  in
-  side.dev_color <- dev_color';
-  side.net_color <- net_color';
-  side.dev_hist <- Array.copy dev_color' :: side.dev_hist;
-  side.net_hist <- Array.copy net_color' :: side.net_hist
+  Refine.refine_nets side.graph ~dev_color:dc' ~net_color:nc;
+  side.dev_color <- dc';
+  side.dev_hist <- dc' :: side.dev_hist
 
-let multiset a = List.sort Int.compare (Array.to_list a)
+let multiset a =
+  let m = Array.copy a in
+  Refine.sort m 0 (Array.length m);
+  m
 
 (* ---------- rendering helpers ------------------------------------------ *)
 
@@ -261,7 +249,8 @@ let run_full ?(cancel = Cancel.never) ?(with_sizes = true) ?(tolerance = 0.)
     Hashtbl.iter
       (fun key v ->
         match (v, Hashtbl.find_opt uo key) with
-        | `One n, Some (`One _) -> Hashtbl.replace colors n (str_code key)
+        | `One n, Some (`One _) ->
+            Hashtbl.replace colors n (Refine.str_code key)
         | _ -> ())
       ut;
     List.iter
@@ -273,35 +262,41 @@ let run_full ?(cancel = Cancel.never) ?(with_sizes = true) ?(tolerance = 0.)
     fun n -> match Hashtbl.find_opt colors n with Some c -> c | None -> 0
   in
   let ca = ra.Reduce.circuit and cb = rb.Reduce.circuit in
-  let ra = Reduce.canonicalize ~seed:(canon_seed ca cb) ~anonymous ra
-  and rb = Reduce.canonicalize ~seed:(canon_seed cb ca) ~anonymous rb in
+  let ra = Reduce.canonicalize ~cancel ~seed:(canon_seed ca cb) ~anonymous ra
+  and rb = Reduce.canonicalize ~cancel ~seed:(canon_seed cb ca) ~anonymous rb in
   let a = side_of ra and b = side_of rb in
-  let seeds = seed_table a b ~vdd ~gnd in
-  init_colors `A seeds a;
-  init_colors `B seeds b;
-  let rounds = ref 0 in
-  let cap =
-    Array.length a.nets + Array.length a.c.Circuit.devices
-    + Array.length b.nets
-    + Array.length b.c.Circuit.devices + 2
+  let rounds =
+    Trace.with_span "lvs.refine" (fun () ->
+        let seeds = seed_table a b ~vdd ~gnd in
+        init_colors `A seeds a;
+        init_colors `B seeds b;
+        let cap =
+          Array.length a.nets + Array.length a.c.Circuit.devices
+          + Array.length b.nets
+          + Array.length b.c.Circuit.devices + 2
+        in
+        (* distinct counts only change in a round, so each round's [after]
+           is the next round's [before] *)
+        let s = Refine.scratch () in
+        let distinct_colors () =
+          Refine.distinct s a.net_color + Refine.distinct s a.dev_color
+          + Refine.distinct s b.net_color + Refine.distinct s b.dev_color
+        in
+        let rounds = ref 0 in
+        let before = ref (distinct_colors ()) in
+        let stable = ref false in
+        while not !stable do
+          Cancel.check cancel;
+          incr rounds;
+          round a;
+          round b;
+          let after = distinct_colors () in
+          if after <= !before || !rounds > cap then stable := true;
+          before := after
+        done;
+        !rounds)
   in
-  let stable = ref false in
-  while not !stable do
-    Cancel.check cancel;
-    incr rounds;
-    let before =
-      distinct a.net_color + distinct a.dev_color + distinct b.net_color
-      + distinct b.dev_color
-    in
-    round a;
-    round b;
-    let after =
-      distinct a.net_color + distinct a.dev_color + distinct b.net_color
-      + distinct b.dev_color
-    in
-    if after <= before || !rounds > cap then stable := true
-  done;
-  Trace.count Trace.Counter.Lvs_rounds !rounds;
+  Trace.count Trace.Counter.Lvs_rounds rounds;
   let stats matched =
     {
       layout_devices = Array.length a.c.Circuit.devices;
@@ -309,7 +304,7 @@ let run_full ?(cancel = Cancel.never) ?(with_sizes = true) ?(tolerance = 0.)
       layout_nets = Array.length a.nets;
       ref_nets = Array.length b.nets;
       reductions = ra.Reduce.merged + rb.Reduce.merged;
-      rounds = !rounds;
+      rounds;
       matched;
     }
   in
@@ -361,12 +356,10 @@ let run_full ?(cancel = Cancel.never) ?(with_sizes = true) ?(tolerance = 0.)
                 let d' = b.c.Circuit.devices.(j) in
                 let net_maps na nb =
                   match
-                    ( Hashtbl.find_opt net_of_b
-                        a.net_color.(Hashtbl.find a.net_pos na),
-                      Hashtbl.find_opt b.net_pos nb )
+                    Hashtbl.find_opt net_of_b a.net_color.(a.net_pos.(na))
                   with
-                  | Some x, Some y -> x = y
-                  | _ -> false
+                  | Some x -> x = b.net_pos.(nb)
+                  | None -> false
                 in
                 if
                   not
@@ -480,7 +473,8 @@ let run_full ?(cancel = Cancel.never) ?(with_sizes = true) ?(tolerance = 0.)
       }
     end
   end
-  else begin
+  else
+    Trace.with_span "lvs.localize" @@ fun () ->
     (* Structural mismatch: localize.  Pair devices greedily by color
        history (finest refinement first), then read extra/missing devices
        off the unpaired remainder and split/merged nets off the terminal
@@ -551,28 +545,33 @@ let run_full ?(cancel = Cancel.never) ?(with_sizes = true) ?(tolerance = 0.)
         Hashtbl.fold (fun c _ acc -> c :: acc) buckets []
         |> List.sort Int.compare
       in
+      (* keys are computed once per member; they end in the device index,
+         so they are unique and the sorted order is fully determined *)
+      let by_key side hist l =
+        List.map (fun i -> (member_key side hist r i, i)) l
+        |> List.sort (fun (x, _) (y, _) -> compare x y)
+        |> List.map snd
+      in
+      let rec zip la lb =
+        match (la, lb) with
+        | i :: la', j :: lb' ->
+            paired_a.(i) <- true;
+            paired_b.(j) <- true;
+            pairs := (i, j) :: !pairs;
+            zip la' lb'
+        | _ -> ()
+      in
       List.iter
         (fun color ->
           let members = Hashtbl.find buckets color in
           let la =
             List.filter_map (function `A i -> Some i | `B _ -> None) members
-            |> List.sort (fun x y ->
-                   compare (member_key a hist_a r x) (member_key a hist_a r y))
           and lb =
             List.filter_map (function `B j -> Some j | `A _ -> None) members
-            |> List.sort (fun x y ->
-                   compare (member_key b hist_b r x) (member_key b hist_b r y))
           in
-          let rec zip la lb =
-            match (la, lb) with
-            | i :: la', j :: lb' ->
-                paired_a.(i) <- true;
-                paired_b.(j) <- true;
-                pairs := (i, j) :: !pairs;
-                zip la' lb'
-            | _ -> ()
-          in
-          zip la lb)
+          (* a bucket holding one side only pairs nothing *)
+          if la <> [] && lb <> [] then
+            zip (by_key a hist_a la) (by_key b hist_b lb))
         colors
     done;
     let matched = List.length !pairs in
@@ -651,7 +650,7 @@ let run_full ?(cancel = Cancel.never) ?(with_sizes = true) ?(tolerance = 0.)
       (fun (i, j) ->
         let da = a.c.Circuit.devices.(i) and db = b.c.Circuit.devices.(j) in
         cast da.Circuit.gate db.Circuit.gate;
-        let col side n = side.net_color.(Hashtbl.find side.net_pos n) in
+        let col side n = side.net_color.(side.net_pos.(n)) in
         let cs = col a da.Circuit.source and cd = col a da.Circuit.drain in
         let cs' = col b db.Circuit.source and cd' = col b db.Circuit.drain in
         let aligned =
@@ -732,7 +731,6 @@ let run_full ?(cancel = Cancel.never) ?(with_sizes = true) ?(tolerance = 0.)
           layout_net = None;
         };
     { outcome = Mismatch; findings = List.rev !findings; stats = stats matched }
-  end
   in
   (result, net_colors a, net_colors b)
 

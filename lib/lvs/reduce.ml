@@ -17,6 +17,9 @@ type wdev = {
 
 type t = { circuit : Circuit.t; mult : int array; merged : int }
 
+(* Device-type code for the parallel-rule key and the canonical keys of
+   collapsed chains.  Not Refine.type_code: the canonical keys were defined
+   with 0 and 1, and changing them would reorient chains. *)
 let type_code = function
   | Ace_tech.Nmos.Enhancement -> 0
   | Ace_tech.Nmos.Depletion -> 1
@@ -85,6 +88,7 @@ let series_pass ~anonymous (circuit : Circuit.t) devs =
 let reduce ?(cancel = Cancel.never)
     ?(anonymous = fun (n : Circuit.net) -> n.Circuit.names = [])
     (circuit : Circuit.t) =
+  Trace.with_span "lvs.reduce" @@ fun () ->
   let devs =
     Array.map
       (fun (d : Circuit.device) ->
@@ -138,20 +142,11 @@ let reduce ?(cancel = Cancel.never)
 
 (* Same hashing discipline as Match, so canonical keys and refinement
    colors agree on what "same structure" means. *)
-let mix h x = (h * 1000003) + x + 0x9e3779b9
+let mix = Refine.mix
 
-let hash_sorted ints =
-  List.fold_left mix 0x1234567 (List.sort Int.compare ints) land max_int
-
-(* A collapsed-graph node: an ordinary device, or a whole series chain as
-   one super-device with an *unordered* gate set.  Keys computed on this
-   graph cannot depend on a gate's position inside its chain — the whole
-   point: a NAND with swapped inputs and its reference get identical
-   keys. *)
-type cnode = { cg : int list; ct : int list; ctag : int }
-
-let canonicalize ?(seed = fun (_ : int) -> 0)
+let canonicalize ?cancel ?(seed = fun (_ : int) -> 0)
     ?(anonymous = fun (n : Circuit.net) -> n.Circuit.names = []) (r : t) =
+  Trace.with_span "lvs.canonicalize" @@ fun () ->
   let c = r.circuit in
   let devs = c.Circuit.devices in
   let nd = Array.length devs in
@@ -261,79 +256,47 @@ let canonicalize ?(seed = fun (_ : int) -> 0)
     done;
     if !chains = [] then r
     else begin
-      (* collapsed graph: chains become super-devices, everything else is
-         carried over unchanged *)
+      (* Collapsed graph: a chain becomes one super-device whose gates
+         (role 1) form an *unordered* set, followed by its two ends (role
+         2); everything else is carried over unchanged.  Keys computed on
+         this graph cannot depend on a gate's position inside its chain —
+         the whole point: a NAND with swapped inputs and its reference get
+         identical keys. *)
       let nodes = ref [] in
       Array.iteri
         (fun i (d : Circuit.device) ->
           if not in_chain.(i) then
             nodes :=
-              {
-                cg = [ d.Circuit.gate ];
-                ct = [ d.Circuit.source; d.Circuit.drain ];
-                ctag = mix (type_code d.Circuit.dtype) 1;
-              }
+              ( mix (type_code d.Circuit.dtype) 1,
+                [
+                  (1, d.Circuit.gate);
+                  (2, d.Circuit.source);
+                  (2, d.Circuit.drain);
+                ] )
               :: !nodes)
         devs;
       List.iter
         (fun (cdevs, cnets) ->
           let d0 = devs.(List.hd cdevs) in
+          let last = List.nth cnets (List.length cnets - 1) in
           nodes :=
-            {
-              cg = List.map (fun i -> devs.(i).Circuit.gate) cdevs;
-              ct = [ List.hd cnets; List.nth cnets (List.length cnets - 1) ];
-              ctag = mix (type_code d0.Circuit.dtype) (List.length cdevs);
-            }
+            ( mix (type_code d0.Circuit.dtype) (List.length cdevs),
+              List.map (fun i -> (1, devs.(i).Circuit.gate)) cdevs
+              @ [ (2, List.hd cnets); (2, last) ] )
             :: !nodes)
         !chains;
       let nodes = Array.of_list !nodes in
-      let used = Array.make n_nets false in
-      Array.iter
-        (fun nd ->
-          List.iter (fun n -> used.(n) <- true) nd.cg;
-          List.iter (fun n -> used.(n) <- true) nd.ct)
-        nodes;
+      let g = Refine.graph ~nets:n_nets (Array.map snd nodes) in
+      let off = g.Refine.dev_off and tn = g.Refine.term_net in
       let ncolor = Array.init n_nets (fun n -> seed n) in
-      let dcolor = Array.map (fun nd -> nd.ctag) nodes in
-      let distinct_used () =
-        let l = ref [] in
-        Array.iteri (fun n u -> if u then l := ncolor.(n) :: !l) used;
-        Array.iter (fun ccol -> l := ccol :: !l) dcolor;
-        List.length (List.sort_uniq Int.compare !l)
+      let dcolor = Array.map fst nodes in
+      let step k =
+        let lo = off.(k) and hi = off.(k + 1) in
+        let gates = Refine.hash_terms g ncolor lo (hi - 2)
+        and ends = Refine.hash_pair ncolor.(tn.(hi - 2)) ncolor.(tn.(hi - 1)) in
+        mix (mix (mix dcolor.(k) gates) ends) 19
       in
-      let cap = Array.length nodes + n_nets + 2 in
-      let stable = ref false in
-      let rounds = ref 0 in
-      while not !stable do
-        incr rounds;
-        let before = distinct_used () in
-        Array.iteri
-          (fun k nd ->
-            dcolor.(k) <-
-              mix
-                (mix
-                   (mix dcolor.(k)
-                      (hash_sorted (List.map (fun g -> ncolor.(g)) nd.cg)))
-                   (hash_sorted (List.map (fun t -> ncolor.(t)) nd.ct)))
-                19)
-          nodes;
-        let incid = Array.make n_nets [] in
-        Array.iteri
-          (fun k nd ->
-            List.iter
-              (fun g -> incid.(g) <- mix dcolor.(k) 1 :: incid.(g))
-              nd.cg;
-            List.iter
-              (fun t -> incid.(t) <- mix dcolor.(k) 2 :: incid.(t))
-              nd.ct)
-          nodes;
-        Array.iteri
-          (fun n u ->
-            if u then ncolor.(n) <- mix ncolor.(n) (hash_sorted incid.(n)))
-          used;
-        let after = distinct_used () in
-        if after <= before || !rounds > cap then stable := true
-      done;
+      ignore (Refine.run ?cancel g ~net_color:ncolor ~dev_color:dcolor step);
       (* reorder each chain whose endpoints the keys can tell apart *)
       let out = Array.copy devs in
       List.iter

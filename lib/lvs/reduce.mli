@@ -32,7 +32,11 @@ val reduce :
   t
 
 val canonicalize :
-  ?seed:(int -> int) -> ?anonymous:(Circuit.net -> bool) -> t -> t
+  ?cancel:Ace_core.Cancel.t ->
+  ?seed:(int -> int) ->
+  ?anonymous:(Circuit.net -> bool) ->
+  t ->
+  t
 (** Canonical terminal order for commutative series gate chains.
 
     A series chain of identical devices linked through anonymous interior
@@ -49,4 +53,5 @@ val canonicalize :
     are left exactly as found — symmetric structures are never scrambled.
 
     [mult] stays aligned because chain members are required to share
-    dtype, size, and multiplicity; only terminal assignments move. *)
+    dtype, size, and multiplicity; only terminal assignments move.
+    [cancel] is checked once per refinement round. *)

@@ -11,6 +11,7 @@
 open Ace_netlist
 module Diag = Ace_diag.Diag
 module Point = Ace_geom.Point
+module Trace = Ace_trace.Trace
 
 (* ---------- logical cards ---------------------------------------------- *)
 
@@ -269,7 +270,8 @@ let scan_text text =
         let positional, _params = split_params tokens in
         match positional with
         | nm :: (_ :: _ as rest) ->
-            let nodes = List.filteri (fun i _ -> i < List.length rest - 1) rest in
+            let n_nodes = List.length rest - 1 in
+            let nodes = List.filteri (fun i _ -> i < n_nodes) rest in
             let sub = up (List.nth rest (List.length rest - 1)) in
             (cur ()).s_items <-
               Inst { i_span = span; i_name = nm; i_nodes = nodes; i_sub = sub }
@@ -315,6 +317,18 @@ let scan_text text =
     sc_top = top;
     sc_diags = List.rev !diags;
   }
+
+(* Formal pin -> actual net, for resolving an instance body.  A formal
+   named twice keeps its first actual.  Every actual is resolved, in card
+   order, which fixes the numbering of any nets they create. *)
+let bind_pins formals actuals resolve =
+  let bind = Hashtbl.create (List.length formals) in
+  List.iter2
+    (fun formal actual ->
+      let net = resolve actual in
+      if not (Hashtbl.mem bind formal) then Hashtbl.add bind formal net)
+    formals actuals;
+  bind
 
 let parse ?(name = "reference") ?(gnd = "GND") text =
   let sc = scan_text text in
@@ -362,7 +376,7 @@ let parse ?(name = "reference") ?(gnd = "GND") text =
       let u = up tok in
       if u = "0" || u = gnd_key then net_of ~display:gnd gnd_key
       else
-        match List.assoc_opt u bind with
+        match Hashtbl.find_opt bind u with
         | Some i -> i
         | None ->
             if Hashtbl.mem globals u || path = "" then net_of ~display:tok u
@@ -418,17 +432,13 @@ let parse ?(name = "reference") ?(gnd = "GND") text =
                           (List.length inst.i_nodes)
                           sub.s_name (List.length sub.s_pins)))
                 else
-                  let bind' =
-                    List.map2
-                      (fun formal actual -> (formal, resolve actual))
-                      sub.s_pins inst.i_nodes
-                  in
                   emit
                     (path ^ inst.i_name ^ "/")
-                    (inst.i_sub :: active) sub bind'))
+                    (inst.i_sub :: active) sub
+                    (bind_pins sub.s_pins inst.i_nodes resolve)))
       (List.rev scope.s_items)
   in
-  emit "" [] top [];
+  emit "" [] top (Hashtbl.create 1);
   let nets =
     !net_names |> List.rev
     |> List.mapi (fun i display ->
@@ -459,6 +469,7 @@ type hview = {
 }
 
 let hier_view ?(name = "reference") ?(gnd = "GND") text =
+  Trace.with_span "lvs.hier_view" @@ fun () ->
   let sc = scan_text text in
   let gnd_key = up gnd in
   let has_top_inst =
@@ -517,7 +528,7 @@ let hier_view ?(name = "reference") ?(gnd = "GND") text =
           let u = up tok in
           if u = "0" || u = gnd_key then implicit_net gnd_key gnd
           else
-            match List.assoc_opt u bind with
+            match Hashtbl.find_opt bind u with
             | Some i -> i
             | None ->
                 if Hashtbl.mem sc.sc_globals u then implicit_net u tok
@@ -554,18 +565,13 @@ let hier_view ?(name = "reference") ?(gnd = "GND") text =
                       List.length inst.i_nodes <> List.length nested.s_pins
                     then ok := false
                     else
-                      let bind' =
-                        List.map2
-                          (fun formal actual -> (formal, resolve actual))
-                          nested.s_pins inst.i_nodes
-                      in
                       emit_body
                         (path ^ inst.i_name ^ "/")
-                        (inst.i_sub :: active) nested bind'))
+                        (inst.i_sub :: active) nested
+                        (bind_pins nested.s_pins inst.i_nodes resolve)))
           (List.rev scope.s_items)
       in
-      emit_body "" [ sub.s_name ] sub
-        (List.map2 (fun p n -> (p, n)) sub.s_pins pin_nets);
+      emit_body "" [ sub.s_name ] sub (bind_pins sub.s_pins pin_nets Fun.id);
       let implicit = List.rev !implicit in
       let nets =
         !net_names |> List.rev
@@ -612,22 +618,22 @@ let hier_view ?(name = "reference") ?(gnd = "GND") text =
     in
     let cells = ref [] (* reversed *) in
     let n_cells = ref 0 in
-    let cell_index = Hashtbl.create 8 in
+    let cell_index = Hashtbl.create 8 (* subckt name -> (index, cell) *) in
     let cell_of sub_name =
       match Hashtbl.find_opt cell_index sub_name with
-      | Some i -> i
+      | Some _ as hit -> hit
       | None -> (
           match Hashtbl.find_opt sc.sc_subckts sub_name with
           | None ->
               ok := false;
-              -1
+              None
           | Some sub ->
               let cell = build_cell sub in
               let i = !n_cells in
-              Hashtbl.replace cell_index sub_name i;
+              Hashtbl.replace cell_index sub_name (i, cell);
               cells := cell :: !cells;
               incr n_cells;
-              i)
+              Some (i, cell))
     in
     let glue_devices = ref [] in
     let n_glue = ref 0 in
@@ -649,10 +655,10 @@ let hier_view ?(name = "reference") ?(gnd = "GND") text =
             in
             glue_devices := dev :: !glue_devices;
             incr n_glue
-        | Inst inst ->
-            let ci = cell_of inst.i_sub in
-            if ci >= 0 then begin
-              let cell = List.nth !cells (!n_cells - 1 - ci) in
+        | Inst inst -> (
+            match cell_of inst.i_sub with
+            | None -> ()
+            | Some (ci, cell) ->
               if List.length inst.i_nodes <> cell.hc_formals then
                 ok := false
               else begin
@@ -675,8 +681,7 @@ let hier_view ?(name = "reference") ?(gnd = "GND") text =
                     hi_nets = Array.of_list (formal_nets @ implicit_nets);
                   }
                   :: !insts
-              end
-            end)
+              end))
       (List.rev sc.sc_top.s_items);
     if not !ok then None
     else begin
@@ -705,6 +710,7 @@ let hier_view ?(name = "reference") ?(gnd = "GND") text =
   end
 
 let load ?name ?gnd text =
+  Trace.with_span "lvs.reference" @@ fun () ->
   let rec first_nonspace i =
     if i >= String.length text then i
     else

@@ -17,7 +17,11 @@ module Match = Ace_lvs.Match
 module Report = Ace_lvs.Report
 module Verilog = Ace_lvs.Verilog
 module HierLvs = Ace_lvs.Hier
+module Refine = Ace_lvs.Refine
+module Oracle = Lvs_oracle
 module Diag = Ace_diag.Diag
+module Cancel = Ace_core.Cancel
+module Trace = Ace_trace.Trace
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -181,6 +185,24 @@ let test_parse_lenient () =
   in
   check_int "good cards survive garbage" 2 (Circuit.device_count c);
   check "garbage is diagnosed" true (diags <> [])
+
+let test_parse_repeated_formal () =
+  (* a formal named twice binds its first actual, and the second actual
+     still becomes a net *)
+  let text = ".SUBCKT R A A B\nM1 A B 0 0 ENH\n.ENDS\nX1 P Q S R\n.END\n" in
+  let c = parse_ok text in
+  let d = c.Circuit.devices.(0) in
+  check_string "first binding wins" "P" (Circuit.net_display_name c d.Circuit.drain);
+  check_string "later formals still bind" "S"
+    (Circuit.net_display_name c d.Circuit.gate);
+  check "the shadowed actual is still a net" true
+    (Circuit.find_net_opt c "Q" <> None);
+  match Reference.hier_view text with
+  | None -> Alcotest.fail "hierarchical view expected"
+  | Some v ->
+      let cell = v.Reference.hv_cells.(0) in
+      check "a repeated formal is one cell net" true
+        (cell.Reference.hc_pin_nets.(0) = cell.Reference.hc_pin_nets.(1))
 
 let test_load_sniffs_wirelist () =
   let c = parse_ok "M1 OUT INP 0 0 ENH L=5U W=5U\n" in
@@ -940,6 +962,352 @@ let prop_hier_agrees_with_flat =
           && h2.HierLvs.cell_hits = h.HierLvs.cell_hits)
 
 (* ------------------------------------------------------------------ *)
+(* Refinement kernel against the list-based oracle (Lvs_oracle)       *)
+
+(* Random switch graphs shaped to reach every kernel path: a rail net
+   whose degree passes the insertion-sort cutoff (16) or 1000, devices
+   with source = drain, gates tied to their own channel, and net names
+   drawn from a tiny pool so seed colors repeat. *)
+let gen_switch_graph =
+  let open QCheck2.Gen in
+  let* n_nets = int_range 2 24 in
+  let net = int_range 0 (n_nets - 1) in
+  let* devs =
+    list_size (int_range 1 40)
+      (let* dt =
+         frequency [ (3, return Nmos.Enhancement); (1, return Nmos.Depletion) ]
+       in
+       let* g = net and* s = net and* d = net in
+       return (dt, g, s, d))
+  in
+  let* n_rail = frequency [ (6, int_range 0 40); (1, int_range 1001 1060) ] in
+  let* rail = list_size (return n_rail) (pair (int_range 0 3) net) in
+  let* names = list_size (return n_nets) (int_range 0 5) in
+  return (n_nets, devs, rail, names)
+
+let switch_name = function
+  | 1 -> [ "VDD" ]
+  | 2 -> [ "GND" ]
+  | 3 -> [ "A" ]
+  | 4 -> [ "B" ]
+  | _ -> []
+
+(* Net 0 is the rail.  Rail devices: 0 gated by the rail, 1 with a
+   channel end on it, 2 with source = drain = rail, 3 with the gate tied
+   to its source; each has its own length, so reduction keeps them all
+   and the rail keeps its degree. *)
+let build_switch_graph (n_nets, devs, rail, names) =
+  let devices =
+    List.map (fun (dtype, g, s, d) -> (dtype, g, s, d, 500)) devs
+    @ List.mapi
+        (fun k (kind, n) ->
+          let g, s, d =
+            match kind with
+            | 0 -> (0, n, (n + 1) mod n_nets)
+            | 1 -> (n, 0, (n + 1) mod n_nets)
+            | 2 -> (n, 0, 0)
+            | _ -> (n, n, 0)
+          in
+          (Nmos.Enhancement, g, s, d, 600 + k))
+        rail
+  in
+  circuit
+    (List.mapi (fun i (dtype, g, s, d, l) -> dev ~dtype ~l ~g ~s ~d i) devices)
+    (List.mapi (fun i k -> net ~names:(switch_name k) i) names)
+
+let palette = [| 0; 0x56DD; 0x06ED; Oracle.str_code "A"; min_int; max_int |]
+
+let test_sort_and_hash () =
+  let rand = Random.State.make [| 14 |] in
+  List.iter
+    (fun n ->
+      let values =
+        List.init n (fun _ ->
+            match Random.State.int rand 4 with
+            | 0 -> palette.(Random.State.int rand (Array.length palette))
+            | 1 -> Random.State.int rand 8
+            | _ -> Random.State.bits rand - Random.State.bits rand)
+      in
+      let a = Array.of_list values in
+      check_int (Printf.sprintf "distinct of %d values" n)
+        (Oracle.distinct a)
+        (Refine.distinct (Refine.scratch ()) a);
+      check (Printf.sprintf "distinct leaves %d values in place" n) true
+        (Array.to_list a = values);
+      check_int (Printf.sprintf "hash of %d values" n) (Oracle.hash_sorted values)
+        (Refine.hash_sorted_range a 0 n);
+      check (Printf.sprintf "%d values sorted" n) true
+        (Array.to_list a = List.sort Int.compare values))
+    [ 0; 1; 2; 3; 15; 16; 17; 40; 1000; 1001; 4096 ];
+  List.iter
+    (fun (x, y) ->
+      check_int "pair hash" (Oracle.hash_sorted [ x; y ]) (Refine.hash_pair x y))
+    [ (0, 0); (1, -1); (max_int, min_int); (5, 5); (-7, 3) ]
+
+(* The comparator's device formula on the kernel, round by round, against
+   Lvs_oracle.round (the colors Match computes). *)
+let prop_kernel_rounds =
+  Tutil.qtest ~count:60 "kernel reproduces the list-based rounds"
+    gen_switch_graph (fun spec ->
+      let c = build_switch_graph spec in
+      let o = Oracle.side_of c in
+      o.Oracle.net_color <-
+        Array.map (fun n -> palette.(n mod Array.length palette)) o.Oracle.nets;
+      o.Oracle.dev_color <-
+        Array.map (fun (d : Circuit.device) -> Oracle.type_code d.dtype)
+          c.Circuit.devices;
+      let pos n = Hashtbl.find o.Oracle.net_pos n in
+      let g =
+        Refine.graph ~nets:(Array.length o.Oracle.nets)
+          (Array.map
+             (fun (d : Circuit.device) ->
+               [ (1, pos d.gate); (2, pos d.source); (2, pos d.drain) ])
+             c.Circuit.devices)
+      in
+      let t = g.Refine.term_net in
+      let nc = Array.copy o.Oracle.net_color
+      and dc = ref (Array.copy o.Oracle.dev_color) in
+      let s = Refine.scratch () in
+      let ok = ref true in
+      for _ = 1 to 8 do
+        Oracle.round o;
+        let dc' =
+          Array.mapi
+            (fun i d ->
+              let k = 3 * i in
+              let sd = Refine.hash_pair nc.(t.(k + 1)) nc.(t.(k + 2)) in
+              Refine.mix (Refine.mix (Refine.mix d nc.(t.(k))) sd) 17)
+            !dc
+        in
+        Refine.refine_nets g ~dev_color:dc' ~net_color:nc;
+        dc := dc';
+        ok :=
+          !ok && dc' = o.Oracle.dev_color
+          && nc = o.Oracle.net_color
+          && Refine.distinct s nc = Oracle.distinct o.Oracle.net_color
+          && Refine.distinct s dc' = Oracle.distinct o.Oracle.dev_color
+      done;
+      !ok)
+
+(* A reference side for the whole comparator: the same circuit with its
+   devices reversed and nets renamed through a SPICE round trip, or with
+   one device dropped. *)
+let prop_match_colors =
+  Tutil.qtest ~count:60 "comparator colors and rounds equal the oracle's"
+    QCheck2.Gen.(pair gen_switch_graph (int_range 0 2))
+    (fun (spec, variant) ->
+      let layout = build_switch_graph spec in
+      let reference =
+        match variant with
+        | 0 -> fst (Reference.parse (Spice.to_string layout))
+        | 1 ->
+            {
+              layout with
+              Circuit.devices =
+                Array.of_list (List.rev (Array.to_list layout.Circuit.devices));
+            }
+        | _ ->
+            {
+              layout with
+              Circuit.devices =
+                Array.sub layout.Circuit.devices 1
+                  (Array.length layout.Circuit.devices - 1);
+            }
+      in
+      let r, ca, cb = Match.run_full ~layout ~reference () in
+      let rounds, oa, ob = Oracle.match_colors ~layout ~reference () in
+      r.Match.stats.Match.rounds = rounds && ca = oa && cb = ob)
+
+(* Series chains of identical devices between random ends, gated from a
+   small pool (so chains repeat gate nets and gate nets reach high
+   degree), with S/D flips, plus an optional fan-out of devices on end
+   E0, each with its own length so reduction keeps them all. *)
+let gen_chain_graph =
+  let open QCheck2.Gen in
+  let* n_ends = int_range 2 5 and* n_gates = int_range 1 4 in
+  let* chains =
+    list_size (int_range 1 12)
+      (let* links = int_range 2 5 in
+       let* gates = list_size (return links) (int_range 0 (n_gates - 1)) in
+       let* flips = list_size (return links) bool in
+       let* a = int_range 0 (n_ends - 1) and* b = int_range 0 (n_ends - 1) in
+       return (gates, flips, a, b))
+  in
+  let* n_rail = frequency [ (6, int_range 0 20); (1, int_range 1001 1030) ] in
+  return (n_ends, n_gates, chains, n_rail)
+
+let build_chain_graph (n_ends, n_gates, chains, n_rail) =
+  (* nets: ends E<i>, gates G<i>, then anonymous chain interiors *)
+  let nets = ref [] and n_nets = ref 0 in
+  let fresh names =
+    let i = !n_nets in
+    incr n_nets;
+    nets := net ~names i :: !nets;
+    i
+  in
+  let ends = Array.init n_ends (fun i -> fresh [ Printf.sprintf "E%d" i ]) in
+  let gates = Array.init n_gates (fun i -> fresh [ Printf.sprintf "G%d" i ]) in
+  let devices = ref [] and n_dev = ref 0 in
+  let add ?l ~g ~s ~d () =
+    devices := dev ?l ~g ~s ~d !n_dev :: !devices;
+    incr n_dev
+  in
+  List.iter
+    (fun (gs, flips, a, b) ->
+      let links = List.length gs in
+      let node = ref ends.(a) in
+      List.iteri
+        (fun k (gi, flip) ->
+          let next = if k = links - 1 then ends.(b) else fresh [] in
+          let s, d = if flip then (next, !node) else (!node, next) in
+          add ~g:gates.(gi) ~s ~d ();
+          node := next)
+        (List.combine gs flips))
+    chains;
+  for k = 1 to n_rail do
+    add ~l:(500 + k) ~g:gates.(k mod n_gates) ~s:ends.(0) ~d:ends.(k mod n_ends) ()
+  done;
+  circuit (List.rev !devices) (List.rev !nets)
+
+let chain_seed n =
+  if n mod 3 = 0 then 0 else Oracle.str_code (string_of_int (n mod 4))
+
+let prop_canonicalize_equals_oracle =
+  Tutil.qtest ~count:80 "canonicalize equals the list-based oracle"
+    gen_chain_graph (fun spec ->
+      let r = Reduce.reduce (build_chain_graph spec) in
+      let mine = Reduce.canonicalize ~seed:chain_seed r
+      and theirs = Oracle.canonicalize ~seed:chain_seed r in
+      mine.Reduce.circuit = theirs.Reduce.circuit
+      && mine.Reduce.mult = theirs.Reduce.mult)
+
+(* canonicalize's loop on random collapsed graphs: per-round net colors
+   (read when the kernel asks for node 0), final colors and rounds. *)
+let prop_kernel_canon_loop =
+  Tutil.qtest ~count:80 "kernel reproduces the canonicalize loop"
+    QCheck2.Gen.(
+      let* n_nets = int_range 2 20 in
+      let net = int_range 0 (n_nets - 1) in
+      let* nodes =
+        list_size (int_range 1 30)
+          (let* tag = int_range 0 3 in
+           let* cg = list_size (int_range 1 4) net in
+           let* t0 = net and* t1 = net in
+           return (tag, cg, [ t0; t1 ]))
+      in
+      return (n_nets, Array.of_list nodes))
+    (fun (n_nets, nodes) ->
+      let snaps, final, rounds =
+        Oracle.canon_loop ~n_nets ~seed:chain_seed nodes
+      in
+      let g =
+        Refine.graph ~nets:n_nets
+          (Array.map
+             (fun (_, cg, ct) ->
+               List.map (fun n -> (1, n)) cg @ List.map (fun n -> (2, n)) ct)
+             nodes)
+      in
+      let off = g.Refine.dev_off and tn = g.Refine.term_net in
+      let ncolor = Array.init n_nets chain_seed in
+      let dcolor = Array.map (fun (tag, _, _) -> tag) nodes in
+      let seen = ref [] in
+      let step k =
+        if k = 0 then seen := Array.copy ncolor :: !seen;
+        let lo = off.(k) and hi = off.(k + 1) in
+        let ends = Refine.hash_pair ncolor.(tn.(hi - 2)) ncolor.(tn.(hi - 1)) in
+        Refine.mix
+          (Refine.mix
+             (Refine.mix dcolor.(k) (Refine.hash_terms g ncolor lo (hi - 2)))
+             ends)
+          19
+      in
+      let rounds' = Refine.run g ~net_color:ncolor ~dev_color:dcolor step in
+      rounds' = rounds && List.rev !seen = snaps && ncolor = final)
+
+(* The glue refinement on random (role, net) terminal lists, with roles
+   that include arbitrary pin colors; verdicts compare a graph against
+   its own devices in reverse order and against an independent graph. *)
+let gen_glue_graph =
+  let open QCheck2.Gen in
+  let* n_nets = int_range 2 20 in
+  let* devs =
+    list_size (int_range 1 30)
+      (let* tag = int_range 0 3 in
+       let* terms =
+         list_size (int_range 0 5)
+           (pair
+              (frequency [ (3, int_range 1 2); (1, int) ])
+              (int_range 0 (n_nets - 1)))
+       in
+       return (tag, terms))
+  in
+  return (n_nets, Array.of_list devs)
+
+let prop_glue_colors =
+  Tutil.qtest ~count:80 "glue colors and verdicts equal the oracle's"
+    QCheck2.Gen.(pair gen_glue_graph gen_glue_graph)
+    (fun (ga, gb) ->
+      let reversed (n_nets, devs) =
+        (n_nets, Array.of_list (List.rev (Array.to_list devs)))
+      in
+      let both (n_nets, devs) =
+        let na, da = Oracle.glue_refine ~n_nets ~seed:chain_seed devs in
+        let na', da' = HierLvs.glue_colors ~nets:n_nets ~seed:chain_seed devs in
+        ((na, da), (Array.to_list na', Array.to_list da'))
+      in
+      let oa, ka = both ga and ob, kb = both gb and oa', ka' = both (reversed ga) in
+      oa = ka && ob = kb && oa' = ka' && oa = oa'
+      && (oa = ob) = (ka = kb))
+
+(* Cancellation reaches the canonicalizer's rounds. *)
+let test_canonicalize_cancel () =
+  let r =
+    Reduce.reduce
+      (build_perm_chain 4 [ 2; 0; 3; 1 ] [ false; true; false; true ] false)
+  in
+  let yields = ref 0 in
+  let cancel = Cancel.create ~yield:(fun () -> incr yields) () in
+  let r' = Reduce.canonicalize ~cancel r in
+  check "canonicalize yields once per round" true (!yields >= 1);
+  check "a live token changes nothing" true
+    (r'.Reduce.circuit = (Reduce.canonicalize r).Reduce.circuit);
+  let tripped = Cancel.create () in
+  Cancel.cancel tripped;
+  match Reduce.canonicalize ~cancel:tripped r with
+  | _ -> Alcotest.fail "a tripped token must stop canonicalize"
+  | exception Cancel.Cancelled _ -> ()
+
+(* A traced comparison records one span per LVS stage. *)
+let test_lvs_spans () =
+  Trace.start ();
+  let session =
+    match
+      let layout = extract_cif "nand2.cif" in
+      let reference, _ = Reference.parse (data_file "nand2.extra.sp") in
+      ignore (Match.run ~layout ~reference ());
+      ignore (hier_run "mesh4x4.cif" "mesh4x4.sp")
+    with
+    | () -> Trace.stop ()
+    | exception e ->
+        ignore (Trace.stop ());
+        raise e
+  in
+  let names =
+    List.concat_map
+      (fun (t : Trace.track) ->
+        Array.to_list t.Trace.t_events
+        |> List.filter_map (fun (e : Trace.event) ->
+               if e.Trace.kind = Trace.Begin then Some e.Trace.ename else None))
+      session.Trace.tracks
+  in
+  List.iter
+    (fun span -> check (span ^ " recorded") true (List.mem span names))
+    [
+      "lvs.reference"; "lvs.hier_view"; "lvs.reduce"; "lvs.canonicalize";
+      "lvs.refine"; "lvs.localize"; "lvs.hier";
+    ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "lvs"
@@ -954,6 +1322,7 @@ let () =
             test_parse_hierarchy_errors;
           Alcotest.test_case "lenient" `Quick test_parse_lenient;
           Alcotest.test_case "wirelist sniff" `Quick test_load_sniffs_wirelist;
+          Alcotest.test_case "repeated formal" `Quick test_parse_repeated_formal;
         ] );
       ( "reduce",
         [
@@ -986,6 +1355,18 @@ let () =
             test_hier_agrees_with_flat;
           Alcotest.test_case "mesh counters" `Quick test_hier_mesh_counters;
           Alcotest.test_case "cell findings" `Quick test_hier_cell_findings;
+        ] );
+      ( "refine",
+        [
+          Alcotest.test_case "sort, hash and distinct" `Quick test_sort_and_hash;
+          Alcotest.test_case "canonicalize cancel" `Quick
+            test_canonicalize_cancel;
+          Alcotest.test_case "stage spans" `Quick test_lvs_spans;
+          prop_kernel_rounds;
+          prop_match_colors;
+          prop_canonicalize_equals_oracle;
+          prop_kernel_canon_loop;
+          prop_glue_colors;
         ] );
       ( "report",
         [

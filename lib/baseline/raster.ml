@@ -46,7 +46,7 @@ let extract_raw ~grid boxes labels =
   let is_metal m = has m Layer.Metal in
   let nets = Union_find.create () in
   let dev_uf = Union_find.create () in
-  let net_locations = Hashtbl.create 256 in
+  let net_x = Ibuf.create () and net_y = Ibuf.create () in
   (* id grids: diffusion, poly, metal nets and channel devices *)
   let none = -1 in
   let diff_id = Array.make (gw * gh) none in
@@ -55,8 +55,8 @@ let extract_raw ~grid boxes labels =
   let chan_id = Array.make (gw * gh) none in
   let fresh_net x y =
     let e = Union_find.fresh nets in
-    Hashtbl.replace net_locations e
-      (Point.make ((x + x0) * grid) ((y + y0) * grid));
+    Ibuf.push net_x ((x + x0) * grid);
+    Ibuf.push net_y ((y + y0) * grid);
     e
   in
   (* Assign an id to the cell from its left and upper neighbours (the
@@ -264,8 +264,9 @@ let extract_raw ~grid boxes labels =
   ( {
       Ace_core.Engine.nets;
       net_names = !net_names;
-      net_locations;
-      net_phase = Hashtbl.create 1;
+      net_x = net_x.Ibuf.data;
+      net_y = net_y.Ibuf.data;
+      net_phase = Array.make net_x.Ibuf.len 0;
       net_geometry = Hashtbl.create 1;
       devices;
       boundary_nets = [];

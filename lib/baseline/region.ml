@@ -50,7 +50,7 @@ let ids_overlapping (tagged : tagged) (s : Interval.span) =
 let extract_raw boxes labels =
   let nets = Union_find.create () in
   let dev_uf = Union_find.create () in
-  let net_locations = Hashtbl.create 256 in
+  let net_x = Ibuf.create () and net_y = Ibuf.create () in
   let net_names = ref [] in
   let warnings = ref [] in
   let dev_area = Hashtbl.create 64 in
@@ -103,7 +103,8 @@ let extract_raw boxes labels =
     let diff_cond = Interval.diff diff_raw channel in
     let fresh_net (s : Interval.span) =
       let e = Union_find.fresh nets in
-      Hashtbl.replace net_locations e (Point.make s.lo bottom);
+      Ibuf.push net_x s.lo;
+      Ibuf.push net_y bottom;
       e
     in
     let new_diff = tag nets !prev_diff diff_cond ~fresh:fresh_net in
@@ -294,8 +295,9 @@ let extract_raw boxes labels =
   ( {
       Ace_core.Engine.nets;
       net_names = !net_names;
-      net_locations;
-      net_phase = Hashtbl.create 1;
+      net_x = net_x.Ibuf.data;
+      net_y = net_y.Ibuf.data;
+      net_phase = Array.make net_x.Ibuf.len 0;
       net_geometry = Hashtbl.create 1;
       devices;
       boundary_nets = [];

@@ -113,9 +113,12 @@ let side_above = 1
 let side_left = 2
 let side_right = 3
 
+(* the edge-key order on unboxed (x, y, side) keys: y, then x, then side *)
+let edge_key_lt x1 y1 s1 x2 y2 s2 =
+  y1 < y2 || (y1 = y2 && (x1 < x2 || (x1 = x2 && s1 < s2)))
+
 let edge_key_less (p1, s1) (p2, s2) =
-  let c = Point.compare_yx p1 p2 in
-  c < 0 || (c = 0 && s1 < s2)
+  edge_key_lt p1.Point.x p1.Point.y s1 p2.Point.x p2.Point.y s2
 
 type face = West | East | South | North
 
@@ -145,8 +148,9 @@ type device_data = {
 type raw = {
   nets : Union_find.t;
   net_names : (int * string) list;
-  net_locations : (int, Point.t) Hashtbl.t;
-  net_phase : (int, int) Hashtbl.t;
+  net_x : int array;
+  net_y : int array;
+  net_phase : int array;
   net_geometry : (int, (Layer.t * Box.t) list) Hashtbl.t;
   devices : (int * device_data) list;
   boundary_nets : boundary_span list;
@@ -309,6 +313,11 @@ let ivec_of_arena dst a =
     if !lo < !hi then Ivec.push dst !lo !hi
   end
 
+(* In-place updates of one element's slot in a side table. *)
+let add_at (b : Ibuf.t) i v = b.data.(i) <- b.data.(i) + v
+let min_at (b : Ibuf.t) i v = if v < b.data.(i) then b.data.(i) <- v
+let max_at (b : Ibuf.t) i v = if v > b.data.(i) then b.data.(i) <- v
+
 (* First tagged span containing [x], scanning left to right. *)
 let find_net_at (v : Ivec.tagged) x =
   let rec go i =
@@ -335,31 +344,37 @@ let run ?(cancel = Cancel.never) config source ~labels =
   let nets = Union_find.create () in
   let dev_uf = Union_find.create () in
   let net_names = ref [] in
-  let net_locations = Hashtbl.create 256 in
-  let net_phase = Hashtbl.create 256 in
   let net_geometry = Hashtbl.create 256 in
   let warnings = ref [] in
   let warn fmt = Format.kasprintf (fun m -> warnings := m :: !warnings) fmt in
-  (* per device element accumulators *)
-  let dev_area : (int, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let dev_implant : (int, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let dev_bbox : (int, Box.t ref) Hashtbl.t = Hashtbl.create 64 in
-  let dev_gates = ref [] in
-  let dev_edges = ref [] in
+  (* Per-element side tables.  [Union_find.fresh] hands out 0, 1, 2, ...
+     and [fresh_net]/[fresh_dev] below are the only creators of elements,
+     so slot [e] of each table belongs to element [e].  Nets keep their
+     creation point and phase; device elements their channel area,
+     implanted area, bounding box (l, b, r, t) and a window-boundary
+     flag. *)
+  let net_x = Ibuf.create () and net_y = Ibuf.create () in
+  let net_phase = Ibuf.create () in
+  let dev_area = Ibuf.create () and dev_implant = Ibuf.create () in
+  let dev_l = Ibuf.create () and dev_b = Ibuf.create () in
+  let dev_r = Ibuf.create () and dev_t = Ibuf.create () in
+  let dev_boundary = Ibuf.create () in
+  (* gate pairs, 2 ints each: (device element, poly net element) *)
+  let dev_gates = Ibuf.create () in
+  (* edge contacts, 6 ints each: (device element, net element, edge
+     length, edge x, edge y, side code) *)
+  let dev_edges = Ibuf.create () in
+  let push_edge dev net len x y side =
+    Ibuf.push dev_edges dev;
+    Ibuf.push dev_edges net;
+    Ibuf.push dev_edges len;
+    Ibuf.push dev_edges x;
+    Ibuf.push dev_edges y;
+    Ibuf.push dev_edges side
+  in
   let dev_geometry : (int, Box.t list ref) Hashtbl.t = Hashtbl.create 64 in
-  let dev_boundary : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let boundary_nets = ref [] in
   let boundary_channels = ref [] in
-  let accumulate tbl key v =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r := !r + v
-    | None -> Hashtbl.replace tbl key (ref v)
-  in
-  let grow_bbox key bx =
-    match Hashtbl.find_opt dev_bbox key with
-    | Some r -> r := Box.hull !r bx
-    | None -> Hashtbl.replace dev_bbox key (ref bx)
-  in
   let add_geometry tbl key item =
     match Hashtbl.find_opt tbl key with
     | Some r -> r := item :: !r
@@ -411,8 +426,9 @@ let run ?(cancel = Cancel.never) config source ~labels =
      x asc) is exactly element-creation order. *)
   let fresh_net ~phase lo y =
     let e = Union_find.fresh nets in
-    Hashtbl.replace net_locations e (Point.make lo y);
-    Hashtbl.replace net_phase e phase;
+    Ibuf.push net_x lo;
+    Ibuf.push net_y y;
+    Ibuf.push net_phase phase;
     e
   in
   let union_nets a b =
@@ -421,7 +437,17 @@ let run ?(cancel = Cancel.never) config source ~labels =
     if Union_find.class_count nets < before then
       Trace.incr Trace.Counter.Net_merges
   in
-  let fresh_dev _lo _hi = Union_find.fresh dev_uf in
+  let fresh_dev _lo _hi =
+    let d = Union_find.fresh dev_uf in
+    Ibuf.push dev_area 0;
+    Ibuf.push dev_implant 0;
+    Ibuf.push dev_l max_int;
+    Ibuf.push dev_b max_int;
+    Ibuf.push dev_r min_int;
+    Ibuf.push dev_t min_int;
+    Ibuf.push dev_boundary 0;
+    d
+  in
   let union_devs a b = ignore (Union_find.union dev_uf a b) in
 
   let record_boundary_tracks strip_bottom strip_top tracks chan =
@@ -456,7 +482,7 @@ let run ?(cancel = Cancel.never) config source ~labels =
         List.iter (fun (layer, tagged) -> record_track layer tagged) tracks;
         Ivec.iter_tagged chan ~f:(fun lo hi dev ->
             let mark face span =
-              Hashtbl.replace dev_boundary dev ();
+              dev_boundary.Ibuf.data.(dev) <- 1;
               boundary_channels :=
                 { cface = face; cspan = span; cdev = dev } :: !boundary_channels
             in
@@ -509,7 +535,7 @@ let run ?(cancel = Cancel.never) config source ~labels =
           let lo = new_chan.Ivec.tlo.(k)
           and hi = new_chan.Ivec.thi.(k)
           and dev = new_chan.Ivec.ttag.(k) in
-          accumulate dev_area dev ((hi - lo) * height);
+          add_at dev_area dev ((hi - lo) * height);
           while
             !ic < implant_raw.Ivec.len && implant_raw.Ivec.hi.(!ic) <= lo
           do
@@ -523,15 +549,19 @@ let run ?(cancel = Cancel.never) config source ~labels =
               - max lo implant_raw.Ivec.lo.(!j);
             incr j
           done;
-          if !over > 0 then accumulate dev_implant dev (!over * height);
-          grow_bbox dev (Box.make ~l:lo ~b:bottom ~r:hi ~t:top);
+          if !over > 0 then add_at dev_implant dev (!over * height);
+          min_at dev_l dev lo;
+          min_at dev_b dev bottom;
+          max_at dev_r dev hi;
+          max_at dev_t dev top;
           if config.emit_geometry then
             add_geometry dev_geometry dev (Box.make ~l:lo ~b:bottom ~r:hi ~t:top)
         done;
         (* gate nets: the poly interval covering each channel interval *)
         Ivec.iter_tagged_overlaps new_chan new_poly
           ~f:(fun dev poly_net _len _lo ->
-            dev_gates := (dev, poly_net) :: !dev_gates);
+            Ibuf.push dev_gates dev;
+            Ibuf.push dev_gates poly_net);
         (* same-strip source/drain contacts: vertical edges where channel and
            conducting diffusion abut *)
         let rec adjacency ci di =
@@ -543,18 +573,12 @@ let run ?(cancel = Cancel.never) config source ~labels =
             and dhi = new_diff.Ivec.thi.(di)
             and net = new_diff.Ivec.ttag.(di) in
             if dhi <= clo then begin
-              if dhi = clo then
-                dev_edges :=
-                  (dev, net, height, Point.make clo bottom, side_left)
-                  :: !dev_edges;
+              if dhi = clo then push_edge dev net height clo bottom side_left;
               adjacency ci (di + 1)
             end
             else begin
               (* disjoint tracks: here dlo >= chi *)
-              if dlo = chi then
-                dev_edges :=
-                  (dev, net, height, Point.make chi bottom, side_right)
-                  :: !dev_edges;
+              if dlo = chi then push_edge dev net height chi bottom side_right;
               adjacency (ci + 1) di
             end
           end
@@ -562,11 +586,9 @@ let run ?(cancel = Cancel.never) config source ~labels =
         adjacency 0 0;
         (* cross-strip source/drain contacts along the strip boundary *)
         Ivec.iter_tagged_overlaps new_chan !prev_diff ~f:(fun dev net len lo ->
-            dev_edges :=
-              (dev, net, len, Point.make lo top, side_above) :: !dev_edges);
+            push_edge dev net len lo top side_above);
         Ivec.iter_tagged_overlaps !prev_chan new_diff ~f:(fun dev net len lo ->
-            dev_edges :=
-              (dev, net, len, Point.make lo top, side_below) :: !dev_edges);
+            push_edge dev net len lo top side_below);
         (* contact cuts connect metal/poly/diffusion; buried contacts connect
            poly and diffusion.  Each track keeps a cursor that only advances
            (vias ascend), so a strip's bridging is linear overall; the ids
@@ -768,92 +790,122 @@ let run ?(cancel = Cancel.never) config source ~labels =
       warn "label %S at (%d,%d) lies below all geometry" lab.name
         lab.position.Point.x lab.position.Point.y)
     !pending_labels;
-  (* fold per-element device data by device-class root *)
+  (* Fold the per-element device tables by device-class root in one
+     ascending pass: each element adds into its root's slots (one find
+     per element), so a root's slots end up holding its class totals.
+     Every element got a channel span, hence area, in the strip that
+     created it, so every class is a device and [root.(r) = r] exactly
+     for the roots that head one. *)
   let devices =
     Timing.charge timing Timing.Output (fun () ->
-        let by_root : (int, device_data ref) Hashtbl.t = Hashtbl.create 64 in
+        let ndev = Union_find.count dev_uf in
+        let area = dev_area.Ibuf.data and implant = dev_implant.Ibuf.data in
+        let bl = dev_l.Ibuf.data and bb = dev_b.Ibuf.data in
+        let br = dev_r.Ibuf.data and bt = dev_t.Ibuf.data in
+        let boundary = dev_boundary.Ibuf.data in
+        let root = Array.make ndev (-1) in
+        for e = 0 to ndev - 1 do
+          let r = Union_find.find dev_uf e in
+          root.(e) <- r;
+          if r <> e then begin
+            area.(r) <- area.(r) + area.(e);
+            implant.(r) <- implant.(r) + implant.(e);
+            if bl.(e) < bl.(r) then bl.(r) <- bl.(e);
+            if bb.(e) < bb.(r) then bb.(r) <- bb.(e);
+            if br.(e) > br.(r) then br.(r) <- br.(e);
+            if bt.(e) > bt.(r) then bt.(r) <- bt.(e);
+            if boundary.(e) <> 0 then boundary.(r) <- 1
+          end
+        done;
+        (* gate pairs newest first: the first hit per root wins *)
+        let gate = Array.make ndev (-1) in
+        let g = dev_gates.Ibuf.data in
+        let i = ref (dev_gates.Ibuf.len - 2) in
+        while !i >= 0 do
+          let r = Union_find.find dev_uf g.(!i) in
+          if gate.(r) < 0 then gate.(r) <- g.(!i + 1);
+          i := !i - 2
+        done;
+        (* Edge contacts aggregate per (device root, net root), keeping
+           the minimal edge key for deterministic terminal tie-breaks.
+           The first edge of each pair becomes the pair's slot: its net
+           field is rewritten to the net root, its length accumulates the
+           pair's total and its (x, y, side) keeps the minimal key.  Slots
+           chain per device root through [head]/[next]; a device touches
+           few nets, so the chain walk is short. *)
+        let ed = dev_edges.Ibuf.data in
+        let nedges = dev_edges.Ibuf.len / 6 in
+        let head = Array.make ndev (-1) and next = Array.make nedges (-1) in
+        for k = nedges - 1 downto 0 do
+          let o = 6 * k in
+          let dr = Union_find.find dev_uf ed.(o) in
+          let nr = Union_find.find nets ed.(o + 1) in
+          let s = ref head.(dr) in
+          while !s >= 0 && ed.((6 * !s) + 1) <> nr do
+            s := next.(!s)
+          done;
+          if !s < 0 then begin
+            ed.(o + 1) <- nr;
+            next.(k) <- head.(dr);
+            head.(dr) <- k
+          end
+          else begin
+            let a = 6 * !s in
+            ed.(a + 2) <- ed.(a + 2) + ed.(o + 2);
+            if
+              edge_key_lt ed.(o + 3) ed.(o + 4) ed.(o + 5) ed.(a + 3) ed.(a + 4)
+                ed.(a + 5)
+            then begin
+              ed.(a + 3) <- ed.(o + 3);
+              ed.(a + 4) <- ed.(o + 4);
+              ed.(a + 5) <- ed.(o + 5)
+            end
+          end
+        done;
+        (* -g channel geometry: a multi-element device concatenates its
+           pieces in [dev_geometry]'s iteration order (keys inserted in
+           first-contribution order).  `-g` wirelists are pinned byte for
+           byte, so this order must not change. *)
+        let geometry = Array.make (if config.emit_geometry then ndev else 0) [] in
         Hashtbl.iter
-          (fun elem area ->
-            let root = Union_find.find dev_uf elem in
-            let implant =
-              match Hashtbl.find_opt dev_implant elem with
-              | Some r -> !r
-              | None -> 0
-            in
-            let bbox =
-              match Hashtbl.find_opt dev_bbox elem with
-              | Some r -> !r
-              | None -> assert false
-            in
-            let geometry =
-              match Hashtbl.find_opt dev_geometry elem with
-              | Some r -> !r
-              | None -> []
-            in
-            let touches = Hashtbl.mem dev_boundary elem in
-            match Hashtbl.find_opt by_root root with
-            | Some r ->
-                r :=
-                  {
-                    !r with
-                    area = !r.area + !area;
-                    implant_area = !r.implant_area + implant;
-                    bbox = Box.hull !r.bbox bbox;
-                    channel_geometry = geometry @ !r.channel_geometry;
-                    touches_boundary = !r.touches_boundary || touches;
-                  }
-            | None ->
-                Hashtbl.replace by_root root
-                  (ref
-                     {
-                       area = !area;
-                       implant_area = implant;
-                       bbox;
-                       gate = -1;
-                       contacts = [];
-                       channel_geometry = geometry;
-                       touches_boundary = touches;
-                     }))
-          dev_area;
-        List.iter
-          (fun (dev, gate_elem) ->
-            let root = Union_find.find dev_uf dev in
-            match Hashtbl.find_opt by_root root with
-            | Some r -> if !r.gate < 0 then r := { !r with gate = gate_elem }
-            | None -> ())
-          !dev_gates;
-        (* aggregate edge contacts per (device root, net root); keep the
-           minimal edge position for deterministic terminal tie-breaks *)
-        let contact_len : (int * int, (int * (Point.t * int)) ref) Hashtbl.t =
-          Hashtbl.create 64
-        in
-        List.iter
-          (fun (dev, net, len, pos, side) ->
-            let key = (Union_find.find dev_uf dev, Union_find.find nets net) in
-            match Hashtbl.find_opt contact_len key with
-            | Some r ->
-                let total, best = !r in
-                r :=
-                  ( total + len,
-                    if edge_key_less (pos, side) best then (pos, side) else best )
-            | None -> Hashtbl.replace contact_len key (ref (len, (pos, side))))
-          !dev_edges;
-        Hashtbl.iter
-          (fun (dev_root, net_root) r ->
-            let len, (pos, side) = !r in
-            match Hashtbl.find_opt by_root dev_root with
-            | Some d ->
-                d := { !d with contacts = (net_root, len, pos, side) :: !d.contacts }
-            | None -> ())
-          contact_len;
-        Hashtbl.fold (fun root r acc -> (root, !r) :: acc) by_root [])
+          (fun e boxes ->
+            let r = root.(e) in
+            geometry.(r) <- !boxes @ geometry.(r))
+          dev_geometry;
+        let devices = ref [] in
+        for r = ndev - 1 downto 0 do
+          if root.(r) = r then begin
+            let contacts = ref [] and s = ref head.(r) in
+            while !s >= 0 do
+              let a = 6 * !s in
+              let pos = Point.make ed.(a + 3) ed.(a + 4) in
+              contacts := (ed.(a + 1), ed.(a + 2), pos, ed.(a + 5)) :: !contacts;
+              s := next.(!s)
+            done;
+            devices :=
+              ( r,
+                {
+                  area = area.(r);
+                  implant_area = implant.(r);
+                  bbox = Box.make ~l:bl.(r) ~b:bb.(r) ~r:br.(r) ~t:bt.(r);
+                  gate = gate.(r);
+                  contacts = !contacts;
+                  channel_geometry =
+                    (if config.emit_geometry then geometry.(r) else []);
+                  touches_boundary = boundary.(r) <> 0;
+                } )
+              :: !devices
+          end
+        done;
+        !devices)
   in
   Trace.count Trace.Counter.Transistors (List.length devices);
   {
     nets;
     net_names = !net_names;
-    net_locations;
-    net_phase;
+    net_x = net_x.Ibuf.data;
+    net_y = net_y.Ibuf.data;
+    net_phase = net_phase.Ibuf.data;
     net_geometry =
       (let tbl = Hashtbl.create 64 in
        Hashtbl.iter (fun k r -> Hashtbl.replace tbl k !r) net_geometry;

@@ -100,21 +100,23 @@ type device_data = {
 type raw = {
   nets : Union_find.t;  (** net elements; classes are electrical nets *)
   net_names : (int * string) list;  (** label attachments *)
-  net_locations : (int, Point.t) Hashtbl.t;
-      (** element creation points: (span lo, top of the strip where the
-          element first appeared).  The strip top at creation is the
-          (clipped) transition y of the geometry itself, so it is
-          independent of how the rest of the chip partitions the scan —
-          a window-mode run over a tile records the same point the flat
-          scan does for any element whose creation lies inside the
-          window. *)
-  net_phase : (int, int) Hashtbl.t;
-      (** element creation phase within its strip: 0 = diffusion, 1 =
-          poly, 2 = metal — the order the engine runs net assignment.
-          [(y desc, phase asc, x asc)] over creation records is exactly
-          element-creation order, which lets the parallel extractor
-          reconstruct the flat extractor's net numbering from per-tile
-          scans (see {!Parallel}). *)
+  net_x : int array;
+  net_y : int array;
+      (** per element, its creation point (x = span lo, y = top of the
+          strip where the element first appeared); slots
+          [\[0, Union_find.count nets)] are meaningful, the arrays may be
+          longer.  The strip top at creation is the (clipped) transition
+          y of the geometry itself, so it is independent of how the rest
+          of the chip partitions the scan — a window-mode run over a tile
+          records the same point the flat scan does for any element whose
+          creation lies inside the window. *)
+  net_phase : int array;
+      (** per element, its creation phase within its strip: 0 =
+          diffusion, 1 = poly, 2 = metal — the order the engine runs net
+          assignment.  [(y desc, phase asc, x asc)] over creation records
+          is exactly element-creation order, which lets the parallel
+          extractor reconstruct the flat extractor's net numbering from
+          per-tile scans (see {!Parallel}). *)
   net_geometry : (int, (Layer.t * Box.t) list) Hashtbl.t;
   devices : (int * device_data) list;  (** (device element root, data) *)
   boundary_nets : boundary_span list;

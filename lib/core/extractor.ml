@@ -69,18 +69,17 @@ let circuit_of_raw ~name ~include_partial (raw : Engine.raw) =
       let c = dense.(Union_find.find nets e) in
       names.(c) <- n :: names.(c))
     raw.net_names;
-  (* location: the creation point of the earliest (topmost-created) element
-     of each class *)
-  let locations = Array.make class_count None in
-  let first_elem = Array.make class_count max_int in
-  Hashtbl.iter
-    (fun e loc ->
-      let c = dense.(Union_find.find nets e) in
-      if e < first_elem.(c) then begin
-        first_elem.(c) <- e;
-        locations.(c) <- Some loc
-      end)
-    raw.net_locations;
+  (* location: the creation point of each class's earliest (lowest,
+     topmost-created) element, met first in one ascending pass *)
+  let locations = Array.make class_count Point.origin in
+  let located = Array.make class_count false in
+  for e = 0 to Union_find.count nets - 1 do
+    let c = dense.(Union_find.find nets e) in
+    if not located.(c) then begin
+      located.(c) <- true;
+      locations.(c) <- Point.make raw.net_x.(e) raw.net_y.(e)
+    end
+  done;
   let geometry = Array.make class_count [] in
   Hashtbl.iter
     (fun e boxes ->
@@ -89,50 +88,53 @@ let circuit_of_raw ~name ~include_partial (raw : Engine.raw) =
     raw.net_geometry;
   (* order nets by descending location y (the figures list top nets first) *)
   let order = Array.init class_count (fun i -> i) in
-  let loc_of i =
-    match locations.(i) with Some p -> p | None -> Point.origin
-  in
   Array.sort
     (fun a b ->
-      let pa = loc_of a and pb = loc_of b in
+      let pa = locations.(a) and pb = locations.(b) in
       let c = Int.compare pb.Point.y pa.Point.y in
       if c <> 0 then c else Int.compare pa.Point.x pb.Point.x)
     order;
   let position = Array.make class_count 0 in
   Array.iteri (fun rank c -> position.(c) <- rank) order;
+  let coalesce boxes =
+    List.concat_map
+      (fun layer ->
+        let mine =
+          List.filter_map
+            (fun (l, b) -> if Layer.equal l layer then Some b else None)
+            boxes
+        in
+        List.map (fun b -> (layer, b)) (Poly.coalesce_columns mine))
+      Layer.conducting_layers
+  in
   let nets_arr =
     Array.map
       (fun c ->
-        let coalesce boxes =
-          List.concat_map
-            (fun layer ->
-              let mine =
-                List.filter_map
-                  (fun (l, b) -> if Layer.equal l layer then Some b else None)
-                  boxes
-              in
-              List.map (fun b -> (layer, b)) (Poly.coalesce_columns mine))
-            Layer.conducting_layers
-        in
         {
           Circuit.names = List.sort_uniq String.compare names.(c);
-          location = loc_of c;
-          geometry = coalesce geometry.(c);
+          location = locations.(c);
+          geometry = (match geometry.(c) with [] -> [] | g -> coalesce g);
         })
       order
   in
   (* dense-with-ordering mapping for terminals *)
-  let dense_ordered = Array.map (fun c -> position.(c)) dense in
-  let devices =
-    raw.devices
-    |> List.filter (fun (_, (d : Engine.device_data)) ->
-           include_partial || not d.touches_boundary)
-    |> List.map (fun (_, d) -> resolve_device nets dense_ordered d)
-    |> List.sort (fun (a : Circuit.device) b ->
-           let c = Int.compare a.location.Point.y b.location.Point.y in
-           if c <> 0 then c else Int.compare a.location.Point.x b.location.Point.x)
-    |> Array.of_list
+  let dense_ordered =
+    Array.init (Union_find.count nets) (fun e -> position.(dense.(e)))
   in
+  let devices =
+    Array.of_list
+      (List.filter_map
+         (fun (_, (d : Engine.device_data)) ->
+           if include_partial || not d.touches_boundary then
+             Some (resolve_device nets dense_ordered d)
+           else None)
+         raw.devices)
+  in
+  Array.stable_sort
+    (fun (a : Circuit.device) b ->
+      let c = Int.compare a.location.Point.y b.location.Point.y in
+      if c <> 0 then c else Int.compare a.location.Point.x b.location.Point.x)
+    devices;
   { Circuit.name; devices; nets = nets_arr }
 
 let extract_with_stats ?(cancel = Cancel.never) ?(emit_geometry = false)

@@ -30,34 +30,35 @@ type t = {
 
 let part_name id = Printf.sprintf "W%d" id
 
-let device_of_partial p ~resolve : Hier.hdevice =
-  let gate = resolve p.p_gate in
-  let contacts =
-    List.map (fun (n, l, pos, side) -> (resolve n, l, pos, side)) p.p_contacts
-  in
-  (* merge contact entries that resolved to the same net, keeping the
+let size_contacts ~resolve ~gate ~area contacts =
+  (* merge contact entries that resolve to the same net, keeping the
      minimal edge key for deterministic terminal ties *)
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (n, l, pos, side) ->
+      let n = resolve n in
+      match Hashtbl.find_opt tbl n with
+      | Some r ->
+          let total, best = !r in
+          r :=
+            ( total + l,
+              if Engine.edge_key_less (pos, side) best then (pos, side)
+              else best )
+      | None -> Hashtbl.replace tbl n (ref (l, (pos, side))))
+    contacts;
   let contacts =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (n, l, pos, side) ->
-        match Hashtbl.find_opt tbl n with
-        | Some r ->
-            let total, best = !r in
-            r :=
-              ( total + l,
-                if Engine.edge_key_less (pos, side) best then (pos, side)
-                else best )
-        | None -> Hashtbl.replace tbl n (ref (l, (pos, side))))
-      contacts;
     Hashtbl.fold
       (fun n r acc ->
         let l, (pos, side) = !r in
         (n, l, pos, side) :: acc)
       tbl []
   in
+  Extractor.channel_terminals ~gate ~area ~contacts
+
+let device_of_partial p ~resolve : Hier.hdevice =
+  let gate = resolve p.p_gate in
   let source, drain, width, length =
-    Extractor.channel_terminals ~gate ~area:p.p_area ~contacts
+    size_contacts ~resolve ~gate ~area:p.p_area p.p_contacts
   in
   {
     Hier.dtype = Nmos.channel_type ~implanted:(2 * p.p_implant >= p.p_area);
@@ -89,6 +90,16 @@ let coalesce_spans spans =
 (* Leaf                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+let complete_devices (raw : Engine.raw) =
+  List.fold_left
+    (fun acc ((_, (d : Engine.device_data)) as rd) ->
+      if d.Engine.touches_boundary then acc else rd :: acc)
+    [] raw.Engine.devices
+  |> List.stable_sort (fun (_, (a : Engine.device_data)) (_, b) ->
+         let a = a.Engine.bbox and b = b.Engine.bbox in
+         let c = Int.compare a.Box.b b.Box.b in
+         if c <> 0 then c else Int.compare a.Box.l b.Box.l)
+
 let leaf_of_raw ~next_id ~window (raw : Engine.raw) =
   let nets = raw.Engine.nets in
   let dense = Union_find.compress nets in
@@ -115,16 +126,16 @@ let leaf_of_raw ~next_id ~window (raw : Engine.raw) =
       Hashtbl.replace spans_by_dev root
         ((bc.Engine.cface, local_span bc.Engine.cface bc.Engine.cspan) :: prev))
     raw.Engine.boundary_channels;
-  let devices = ref [] and partials = ref [] in
-  List.iter
-    (fun (root, (d : Engine.device_data)) ->
-      if d.Engine.touches_boundary then begin
-        let my_spans =
-          match Hashtbl.find_opt spans_by_dev root with
-          | Some spans -> spans
-          | None -> []
-        in
-        partials :=
+  let partials =
+    List.fold_left
+      (fun acc (root, (d : Engine.device_data)) ->
+        if not d.Engine.touches_boundary then acc
+        else
+          let my_spans =
+            match Hashtbl.find_opt spans_by_dev root with
+            | Some spans -> spans
+            | None -> []
+          in
           {
             p_area = d.Engine.area;
             p_implant = d.Engine.implant_area;
@@ -137,23 +148,24 @@ let leaf_of_raw ~next_id ~window (raw : Engine.raw) =
                 d.Engine.contacts;
             p_spans = coalesce_spans my_spans;
           }
-          :: !partials
-      end
-      else begin
+          :: acc)
+      [] raw.Engine.devices
+  in
+  let devices =
+    List.map
+      (fun (_, d) ->
         let cd = Extractor.resolve_device nets dense d in
-        devices :=
-          {
-            Hier.dtype = cd.Circuit.dtype;
-            gate = cd.Circuit.gate;
-            source = cd.Circuit.source;
-            drain = cd.Circuit.drain;
-            length = cd.Circuit.length;
-            width = cd.Circuit.width;
-            location = Point.add cd.Circuit.location (Point.make dx dy);
-          }
-          :: !devices
-      end)
-    raw.Engine.devices;
+        {
+          Hier.dtype = cd.Circuit.dtype;
+          gate = cd.Circuit.gate;
+          source = cd.Circuit.source;
+          drain = cd.Circuit.drain;
+          length = cd.Circuit.length;
+          width = cd.Circuit.width;
+          location = Point.add cd.Circuit.location (Point.make dx dy);
+        })
+      (complete_devices raw)
+  in
   let iface =
     coalesce_spans
       (List.map
@@ -163,10 +175,6 @@ let leaf_of_raw ~next_id ~window (raw : Engine.raw) =
          raw.Engine.boundary_nets)
     |> List.map (fun ((face, layer, net), span) -> { face; span; layer; net })
   in
-  if Sys.getenv_opt "ACE_DEBUG" <> None then
-    Printf.eprintf "leaf W%d window=%s devices=%d partials=%d\n" next_id
-      (Format.asprintf "%a" Box.pp window)
-      (List.length !devices) (List.length !partials);
   {
     id = next_id;
     width = Box.width window;
@@ -177,15 +185,11 @@ let leaf_of_raw ~next_id ~window (raw : Engine.raw) =
         net_count;
         exports = List.sort_uniq Int.compare (List.map (fun s -> s.net) iface);
         net_names;
-        devices =
-          List.sort
-            (fun (a : Hier.hdevice) b -> Point.compare_yx a.location b.location)
-            !devices;
+        devices;
         instances = [];
       };
     iface;
-    partials =
-      List.sort (fun a b -> Box.compare a.p_bbox b.p_bbox) !partials;
+    partials = List.sort (fun a b -> Box.compare a.p_bbox b.p_bbox) partials;
   }
 
 let leaf ~next_id ~window ~boxes ~labels =
@@ -200,16 +204,6 @@ let leaf ~next_id ~window ~boxes ~labels =
     Engine.run { Engine.emit_geometry = false; window = Some window } source
       ~labels
   in
-  if Sys.getenv_opt "ACE_DEBUG" <> None then begin
-    Printf.eprintf "leaf W%d window=%s boxes=%d\n" next_id
-      (Format.asprintf "%a" Box.pp window)
-      (List.length boxes);
-    List.iter
-      (fun (lyr, bx) ->
-        Printf.eprintf "    %s %s\n" (Layer.to_cif_name lyr)
-          (Format.asprintf "%a" Box.pp bx))
-      boxes
-  end;
   leaf_of_raw ~next_id ~window raw
 
 (* ------------------------------------------------------------------ *)
@@ -223,7 +217,7 @@ let translate_face_span ~(offset : Point.t) face (s : Interval.span) =
   | Engine.South | Engine.North ->
       { Interval.lo = s.lo + offset.Point.x; hi = s.hi + offset.Point.x }
 
-let compose ~next_id a b ~offset =
+let compose_ext ~next_id a b ~offset =
   let horizontal = offset.Point.x > 0 in
   if horizontal then begin
     if not (offset.Point.x = a.width && offset.Point.y = 0 && a.height = b.height)
@@ -258,7 +252,6 @@ let compose ~next_id a b ~offset =
      East(a) and West(b) spans are y-ranges with the same y origin. *)
   let a_seam = List.filter (fun s -> s.face = seam_a) a.iface in
   let b_seam = List.filter (fun s -> s.face = seam_b) b.iface in
-  let debug = Sys.getenv_opt "ACE_DEBUG" <> None in
   List.iter
     (fun sa ->
       List.iter
@@ -266,16 +259,7 @@ let compose ~next_id a b ~offset =
           if
             Layer.equal sa.layer sb.layer
             && Interval.spans_overlap sa.span sb.span
-          then begin
-            if debug then
-              Printf.eprintf
-                "compose %d(%s)+%d(%s): seam %s a-net %d [%d,%d) ~ b-net %d [%d,%d)\n"
-                a.id a.part.Hier.part_name b.id b.part.Hier.part_name
-                (Layer.to_cif_name sa.layer) sa.net sa.span.Interval.lo
-                sa.span.Interval.hi sb.net sb.span.Interval.lo
-                sb.span.Interval.hi;
-            ignore (Union_find.union uf (elem `A sa.net) (elem `B sb.net))
-          end)
+          then ignore (Union_find.union uf (elem `A sa.net) (elem `B sb.net)))
         b_seam)
     a_seam;
   (* partial knitting: channel spans overlapping across the seam *)
@@ -303,11 +287,7 @@ let compose ~next_id a b ~offset =
               (fun sa ->
                 List.exists (fun sb -> Interval.spans_overlap sa sb) q_spans)
               a_spans
-          then begin
-            if debug then
-              Printf.eprintf "compose %d+%d: knit partial a%d ~ b%d\n" a.id b.id i j;
-            ignore (Union_find.union puf i (na + j))
-          end)
+          then ignore (Union_find.union puf i (na + j)))
         pb)
     pa;
   (* seam source/drain contacts: a channel ending at the seam against
@@ -322,9 +302,6 @@ let compose ~next_id a b ~offset =
     else Point.make overlap_lo a.height
   in
   let add_seam_contact pidx side_net len key_edge =
-    if debug then
-      Printf.eprintf "compose %d+%d: seam contact partial-root %d net-elem %d len %d\n"
-        a.id b.id (Union_find.find puf pidx) side_net len;
     let key = (Union_find.find puf pidx, side_net) in
     match Hashtbl.find_opt seam_contacts key with
     | Some r ->
@@ -442,25 +419,20 @@ let compose ~next_id a b ~offset =
     seam_contacts;
   (* completed vs still-partial; sort for determinism (hash-table order is
      arbitrary and fragments are deduplicated by content) *)
-  let devices = ref [] and partials = ref [] in
+  let completed = ref [] and partials = ref [] in
   Hashtbl.iter
     (fun _root r ->
       let p = !r in
-      if p.p_spans = [] then begin
-        if debug then
-          Printf.eprintf "compose %d+%d: complete device area=%d contacts=[%s]\n"
-            a.id b.id p.p_area
-            (String.concat ";"
-               (List.map (fun (n, l, _, _) -> Printf.sprintf "%d:%d" n l)
-                  p.p_contacts));
-        devices := device_of_partial p ~resolve:(fun n -> n) :: !devices
-      end
+      if p.p_spans = [] then
+        completed :=
+          (device_of_partial p ~resolve:(fun n -> n), p) :: !completed
       else partials := { p with p_spans = coalesce_spans p.p_spans } :: !partials)
     groups;
-  let devices =
+  let completed =
     List.sort
-      (fun (a : Hier.hdevice) b -> Point.compare_yx a.location b.location)
-      !devices
+      (fun ((a : Hier.hdevice), _) (b, _) ->
+        Point.compare_yx a.location b.location)
+      !completed
   and partials =
     List.sort (fun a b -> Box.compare a.p_bbox b.p_bbox) !partials
   in
@@ -490,36 +462,42 @@ let compose ~next_id a b ~offset =
   in
   let width = if horizontal then a.width + b.width else a.width in
   let height = if horizontal then a.height else a.height + b.height in
-  {
-    id = next_id;
-    width;
-    height;
-    part =
-      {
-        Hier.part_name = part_name next_id;
-        net_count;
-        exports = List.sort_uniq Int.compare (List.map (fun s -> s.net) iface);
-        net_names = [];
-        devices;
-        instances =
-          [
-            {
-              Hier.part_name = a.part.Hier.part_name;
-              inst_name = "P1";
-              offset = Point.origin;
-              net_map = List.map (fun n -> (n, resolve `A n)) refs_a;
-            };
-            {
-              Hier.part_name = b.part.Hier.part_name;
-              inst_name = "P2";
-              offset = b_offset;
-              net_map = List.map (fun n -> (n, resolve `B n)) refs_b;
-            };
-          ];
-      };
-    iface;
-    partials;
-  }
+  let frag =
+    {
+      id = next_id;
+      width;
+      height;
+      part =
+        {
+          Hier.part_name = part_name next_id;
+          net_count;
+          exports =
+            List.sort_uniq Int.compare (List.map (fun s -> s.net) iface);
+          net_names = [];
+          devices = List.map fst completed;
+          instances =
+            [
+              {
+                Hier.part_name = a.part.Hier.part_name;
+                inst_name = "P1";
+                offset = Point.origin;
+                net_map = List.map (fun n -> (n, resolve `A n)) refs_a;
+              };
+              {
+                Hier.part_name = b.part.Hier.part_name;
+                inst_name = "P2";
+                offset = b_offset;
+                net_map = List.map (fun n -> (n, resolve `B n)) refs_b;
+              };
+            ];
+        };
+      iface;
+      partials;
+    }
+  in
+  (frag, List.map snd completed)
+
+let compose ~next_id a b ~offset = fst (compose_ext ~next_id a b ~offset)
 
 let finalize ~next_id root =
   let refs =

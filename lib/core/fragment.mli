@@ -54,6 +54,26 @@ type t = {
   partials : partial list;
 }
 
+(** [size_contacts ~resolve ~gate ~area contacts] is the (source, drain,
+    width, length) of a channel of [area] gated by net [gate], whose
+    [contacts] are (net, edge length, minimal edge position, edge side).
+    Each contact net is renamed through [resolve]; contacts that land on
+    one net merge (summed length, minimal {!Engine.edge_key_less} key)
+    before the ACE §3 rule of {!Extractor.channel_terminals}. *)
+val size_contacts :
+  resolve:(int -> int) ->
+  gate:int ->
+  area:int ->
+  (int * int * Point.t * int) list ->
+  int * int * int * int
+
+(** The complete devices of a window-mode engine result — channel
+    components touching no window face — as (device root, data), in the
+    order {!leaf_of_raw} lists them in the leaf part: by location (the
+    bbox's lower-left corner, y then x), ties in reverse
+    [raw.devices] order. *)
+val complete_devices : Engine.raw -> (int * Engine.device_data) list
+
 (** Build a leaf fragment from an {e already computed} window-mode engine
     result for [window].  This is the piece {!leaf} and the parallel
     extractor share: the caller keeps control of how the engine ran (own
@@ -74,6 +94,12 @@ val leaf :
     origin; requires a guillotine adjacency: either [offset = (a.width, 0)]
     with equal heights, or [offset = (0, a.height)] with equal widths. *)
 val compose : next_id:int -> t -> t -> offset:Point.t -> t
+
+(** [compose_ext] is {!compose} plus the partials it completed, merged
+    and over the composed part's nets, in the order of the part's
+    devices. *)
+val compose_ext :
+  next_id:int -> t -> t -> offset:Point.t -> t * partial list
 
 (** Wrap the root fragment, force-completing any partials still open at
     the chip boundary; returns the top part. *)

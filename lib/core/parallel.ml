@@ -116,11 +116,17 @@ let shard_labels grid labels =
    to bottom, phases (diffusion, poly, metal) in engine order within a
    strip, spans left to right within a phase.  The engine records each
    element's creation as (strip top, phase, span lo) — see
-   {!Engine.raw.net_locations} — and that key is intrinsic to the
+   {!Engine.raw.net_x} — and that key is intrinsic to the
    geometry, not to how the scan was windowed.  [key_earlier] is
    element-creation order over those keys. *)
 let key_earlier (y1, p1, x1) (y2, p2, x2) =
   y1 > y2 || (y1 = y2 && (p1 < p2 || (p1 = p2 && x1 < x2)))
+
+(* The tile index of a leaf activation: leaf parts are named
+   "W<tile index>" by Fragment. *)
+let leaf_tile (a : Hier.activation) =
+  let n = a.Hier.act_part in
+  int_of_string (String.sub n 1 (String.length n - 1))
 
 (* Per part-local net (the same dense numbering {!Fragment.leaf_of_raw}
    uses), the earliest creation key of the class, in chip coordinates. *)
@@ -128,20 +134,114 @@ let leaf_net_keys (raw : Engine.raw) =
   let nets = raw.Engine.nets in
   let dense = Union_find.compress nets in
   let keys = Array.make (Union_find.class_count nets) None in
-  Hashtbl.iter
-    (fun e (p : Point.t) ->
-      let phase = try Hashtbl.find raw.Engine.net_phase e with Not_found -> 0 in
-      let k = (p.Point.y, phase, p.Point.x) in
-      let c = dense.(Union_find.find nets e) in
-      match keys.(c) with
-      | Some k0 when key_earlier k0 k -> ()
-      | _ -> keys.(c) <- Some k)
-    raw.Engine.net_locations;
+  for e = 0 to Union_find.count nets - 1 do
+    let k =
+      (raw.Engine.net_y.(e), raw.Engine.net_phase.(e), raw.Engine.net_x.(e))
+    in
+    let c = dense.(Union_find.find nets e) in
+    match keys.(c) with
+    | Some k0 when key_earlier k0 k -> ()
+    | _ -> keys.(c) <- Some k
+  done;
   keys
+
+(* ------------------------------------------------------------------ *)
+(* Seam-merged sizing                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A device completed inside one part — a tile, or a compose of tiles —
+   is sized there from the part's nets.  When two of its contact nets are
+   exported, they may be one flat net that joins only through a part
+   composed later (a source diffusion cut in two by a tile's clip), and
+   the flat extractor sums their edges into one terminal.  Such a device
+   keeps its contacts over the part's nets, so the stitch can size it
+   again over flat nets. *)
+type resize = {
+  r_index : int;  (** position in the part's device list *)
+  r_area : int;
+  r_contacts : (int * int * Point.t * int) list;
+      (** (part-local net, edge length, minimal edge position, side) *)
+}
+
+(* [devices] are the part's complete devices as (area, contacts), in the
+   part's device order; [net] maps a contact's net into the part's
+   numbering. *)
+let part_resizes (part : Hier.part) ~net devices =
+  let exported = Array.make part.Hier.net_count false in
+  List.iter (fun n -> exported.(n) <- true) part.Hier.exports;
+  (* two distinct exported nets among [contacts]; [first] is the
+     exported net met so far, or -1 *)
+  let rec two_exported first = function
+    | [] -> false
+    | (n, _, _, _) :: rest ->
+        let n = net n in
+        if not exported.(n) then two_exported first rest
+        else if first < 0 || first = n then two_exported n rest
+        else true
+  in
+  List.mapi (fun i d -> (i, d)) devices
+  |> List.filter_map (fun (i, (area, contacts)) ->
+         if not (two_exported (-1) contacts) then None
+         else
+           Some
+             {
+               r_index = i;
+               r_area = area;
+               r_contacts =
+                 List.map
+                   (fun (n, l, pos, side) -> (net n, l, pos, side))
+                   contacts;
+             })
+
+let leaf_resizes (raw : Engine.raw) (part : Hier.part) =
+  (* the engine aggregates contacts per net class, so a contact names a
+     root; [dense] numbers roots as leaf_of_raw does *)
+  let dense = Union_find.compress raw.Engine.nets in
+  part_resizes part
+    ~net:(fun n -> dense.(n))
+    (List.map
+       (fun (_, (d : Engine.device_data)) -> (d.Engine.area, d.Engine.contacts))
+       (Fragment.complete_devices raw))
+
+let compose_resizes (f : Fragment.t) completed =
+  part_resizes f.Fragment.part ~net:Fun.id
+    (List.map
+       (fun (p : Fragment.partial) ->
+         (p.Fragment.p_area, p.Fragment.p_contacts))
+       completed)
+
+(* Size the kept devices again over the flattened circuit's nets: each
+   part-local contact net maps through the part's activation, and
+   {!Fragment.size_contacts} merges and sizes them as the flat extractor
+   does.  [resizes] is keyed by part name. *)
+let apply_resizes (circuit : Circuit.t) activations resizes =
+  List.iter
+    (fun (a : Hier.activation) ->
+      List.iter
+        (fun r ->
+          let j = a.Hier.act_device + r.r_index in
+          let d = circuit.Circuit.devices.(j) in
+          let source, drain, width, length =
+            Fragment.size_contacts
+              ~resolve:(fun n -> a.Hier.act_nets.(n))
+              ~gate:d.Circuit.gate ~area:r.r_area r.r_contacts
+          in
+          circuit.Circuit.devices.(j) <-
+            { d with Circuit.source; drain; width; length })
+        (Option.value ~default:[] (Hashtbl.find_opt resizes a.Hier.act_part)))
+    activations
 
 (* ------------------------------------------------------------------ *)
 (* One tile                                                            *)
 (* ------------------------------------------------------------------ *)
+
+type tile_result = {
+  frag : Fragment.t;
+  shard : shard;
+  warnings : string list;
+  keys : (int * int * int) option array;
+  resizes : resize list;
+}
 
 (* One tile: its own lazy stream over the shared (pre-warmed, read-only)
    design, clipped to the tile, run in window mode, and folded down to a
@@ -181,6 +281,7 @@ let run_shard ~cancel ~on_shard design window labels idx =
   (* before the counter snapshot: the key scan's union-find lookups must
      be part of the shard's published counters *)
   let keys = leaf_net_keys raw in
+  let resizes = leaf_resizes raw frag.Fragment.part in
   let shard =
     {
       s_window = window;
@@ -194,7 +295,7 @@ let run_shard ~cancel ~on_shard design window labels idx =
       s_counters = Trace.counters_snapshot ();
     }
   in
-  (frag, shard, raw.Engine.warnings, keys)
+  { frag; shard; warnings = raw.Engine.warnings; keys; resizes }
 
 let stats_of_flat (st : Extractor.stats) =
   {
@@ -389,12 +490,9 @@ let canonicalize ~name ~(bb : Box.t) (circuit : Circuit.t) activations
   List.iter
     (fun (a : Hier.activation) ->
       if a.Hier.act_leaf then begin
-        let tile =
-          (* leaf parts are named "W<tile index>" by Fragment *)
-          let n = a.Hier.act_part in
-          int_of_string (String.sub n 1 (String.length n - 1))
+        let leaf_keys : (int * int * int) option array =
+          tile_keys.(leaf_tile a)
         in
-        let leaf_keys : (int * int * int) option array = tile_keys.(tile) in
         Array.iteri
           (fun local g ->
             match leaf_keys.(local) with
@@ -511,19 +609,26 @@ let extract_with_stats ?(sequential = false) ?(cancel = Cancel.never)
           (* the stitch gets its own track, after the per-tile ones *)
           Trace.with_track ~tid:(tcount + 1) ~name:"stitch" @@ fun () ->
           Timing.charge stitch_timing Timing.Stitch (fun () ->
-              let frag_of t =
-                let f, _, _, _ = results.(t) in
-                f
-              in
+              let frag_of t = results.(t).frag in
               let next = ref tcount in
               let parts = ref [] in
+              let resizes = Hashtbl.create (2 * tcount) in
               let push_part (f : Fragment.t) =
                 parts := f.Fragment.part :: !parts
               in
+              Array.iter
+                (fun r ->
+                  Hashtbl.replace resizes r.frag.Fragment.part.Hier.part_name
+                    r.resizes)
+                results;
               let compose counter a b ~offset =
                 let id = !next in
                 incr next;
-                let f = Fragment.compose ~next_id:id a b ~offset in
+                let f, completed =
+                  Fragment.compose_ext ~next_id:id a b ~offset
+                in
+                Hashtbl.replace resizes f.Fragment.part.Hier.part_name
+                  (compose_resizes f completed);
                 Trace.incr counter;
                 push_part f;
                 f
@@ -561,17 +666,18 @@ let extract_with_stats ?(sequential = false) ?(cancel = Cancel.never)
                 { Hier.parts = List.rev (top :: !parts); top = "Top" }
               in
               let flat_circuit, activations = Hier.flatten_ext hier in
+              apply_resizes flat_circuit activations resizes;
               canonicalize ~name ~bb flat_circuit activations
-                (Array.map (fun (_, _, _, keys) -> keys) results))
+                (Array.map (fun r -> r.keys) results))
         in
         let shards =
-          Array.to_list (Array.map (fun (_, s, _, _) -> s) results)
+          Array.to_list (Array.map (fun r -> r.shard) results)
         in
         let warnings =
           List.concat
             (Array.to_list
                (Array.mapi
-                  (fun i (_, _, ws, _) ->
+                  (fun i { warnings = ws; _ } ->
                     List.map
                       (fun m ->
                         Ace_diag.Diag.warning ~code:"extract-anomaly"

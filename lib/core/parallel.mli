@@ -17,7 +17,7 @@ open Ace_netlist
     both axes: each column composes bottom-to-top, then the columns
     compose left-to-right.  A final canonicalization pass rebuilds the
     flat extractor's net numbering from the engine's intrinsic creation
-    keys ({!Engine.raw.net_locations} / [net_phase]) and re-sorts
+    keys ({!Engine.raw.net_x} / [net_y] / [net_phase]) and re-sorts
     devices with the flat comparator, so the output is {e
     byte-identical} to {!Extractor.extract} for every grid, worker
     count, and steal schedule (see DESIGN.md, "Work-stealing

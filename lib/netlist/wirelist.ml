@@ -73,48 +73,115 @@ end
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let net_id i = Printf.sprintf "N%d" i
+(* Decimal digits appended straight into the buffer: no format string
+   interpreted and no string allocated per number. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
 
-let to_buffer ?(emit_geometry = false) buf (c : Circuit.t) =
-  let pr fmt = Printf.bprintf buf fmt in
-  pr "(DefPart %S\n" c.name;
-  pr "(DefPart nEnh (Export Source Gate Drain))\n";
-  pr "(DefPart nDep (Export Source Gate Drain))\n";
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
+
+(* Render [c] into [buf], calling [flush] after every record (a device,
+   a net, a stretch of the Local list) so a caller can stream the text
+   out through a bounded buffer. *)
+let write ~emit_geometry ~flush buf (c : Circuit.t) =
+  let str s = Buffer.add_string buf s and int n = add_int buf n in
+  let net i =
+    Buffer.add_char buf 'N';
+    add_int buf i
+  in
+  Printf.bprintf buf "(DefPart %S\n" c.name;
+  str "(DefPart nEnh (Export Source Gate Drain))\n";
+  str "(DefPart nDep (Export Source Gate Drain))\n";
   Array.iteri
     (fun i (d : Circuit.device) ->
-      pr "(Part %s (InstName D%d) (Location %d %d)\n"
-        (Nmos.device_type_name d.dtype)
-        i d.location.Point.x d.location.Point.y;
-      pr " (T Gate %s) (T Source %s) (T Drain %s)\n" (net_id d.gate)
-        (net_id d.source) (net_id d.drain);
-      pr " (Channel (Length %d) (Width %d)" d.length d.width;
-      if emit_geometry && d.geometry <> [] then
-        pr "\n  ( CIF \"%s\")"
+      str "(Part ";
+      str (Nmos.device_type_name d.dtype);
+      str " (InstName D";
+      int i;
+      str ") (Location ";
+      int d.location.Point.x;
+      str " ";
+      int d.location.Point.y;
+      str ")\n (T Gate ";
+      net d.gate;
+      str ") (T Source ";
+      net d.source;
+      str ") (T Drain ";
+      net d.drain;
+      str ")\n (Channel (Length ";
+      int d.length;
+      str ") (Width ";
+      int d.width;
+      str ")";
+      if emit_geometry && d.geometry <> [] then begin
+        str "\n  ( CIF \"";
+        str
           (Geometry_text.to_string
              (List.map (fun (_, bx) -> (None, bx)) d.geometry));
-      pr "))\n")
+        str "\")"
+      end;
+      str "))\n";
+      flush ())
     c.devices;
   Array.iteri
     (fun i (n : Circuit.net) ->
-      pr "(Net %s" (net_id i);
-      List.iter (fun name -> pr " %s" name) n.names;
-      pr " (Location %d %d)" n.location.Point.x n.location.Point.y;
-      if emit_geometry && n.geometry <> [] then
-        pr "\n ( CIF \"%s\")"
+      str "(Net ";
+      net i;
+      List.iter
+        (fun name ->
+          str " ";
+          str name)
+        n.names;
+      str " (Location ";
+      int n.location.Point.x;
+      str " ";
+      int n.location.Point.y;
+      str ")";
+      if emit_geometry && n.geometry <> [] then begin
+        str "\n ( CIF \"";
+        str
           (Geometry_text.to_string
              (List.map (fun (lyr, bx) -> (Some lyr, bx)) n.geometry));
-      pr ")\n")
+        str "\")"
+      end;
+      str ")\n";
+      flush ())
     c.nets;
-  pr "(Local";
-  Array.iteri (fun i _ -> pr " %s" (net_id i)) c.nets;
-  pr "))\n"
+  str "(Local";
+  Array.iteri
+    (fun i _ ->
+      str " ";
+      net i;
+      flush ())
+    c.nets;
+  str "))\n"
 
-let to_string ?emit_geometry c =
+let to_string ?(emit_geometry = false) c =
   let buf = Buffer.create 4096 in
-  to_buffer ?emit_geometry buf c;
+  write ~emit_geometry ~flush:ignore buf c;
   Buffer.contents buf
 
-let to_channel ?emit_geometry oc c = output_string oc (to_string ?emit_geometry c)
+(* Stream through one buffer of about [chunk] bytes: whenever a record
+   leaves it past the threshold, its contents go to the channel. *)
+let chunk = 65536
+
+let to_channel ?(emit_geometry = false) oc c =
+  let buf = Buffer.create (2 * chunk) in
+  let flush () =
+    if Buffer.length buf >= chunk then begin
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf
+    end
+  in
+  write ~emit_geometry ~flush buf c;
+  Buffer.output_buffer oc buf
 
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)

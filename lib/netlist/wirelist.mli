@@ -27,6 +27,10 @@ open Ace_tech
     suppressed by default, like the paper's normal operation. *)
 val to_string : ?emit_geometry:bool -> Circuit.t -> string
 
+(** [to_channel ?emit_geometry oc circuit] writes the same text as
+    {!to_string}, streamed through one buffer of about 64 KiB that is
+    flushed at record boundaries, so the whole text is never held in
+    memory. *)
 val to_channel : ?emit_geometry:bool -> out_channel -> Circuit.t -> unit
 
 exception Error of string

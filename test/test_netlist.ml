@@ -622,6 +622,154 @@ let prop_wirelist_roundtrip =
       Circuit.device_count c = Circuit.device_count c'
       && Tutil.circuit_equal ~with_sizes:true c c')
 
+(* Geometry derived from a generated circuit's own numbers, so the
+   writer's geometry strings are exercised as well. *)
+let with_geometry (c : Circuit.t) =
+  let box_at (p : Point.t) w h =
+    Box.make ~l:p.Point.x ~b:p.Point.y ~r:(p.Point.x + w) ~t:(p.Point.y + h)
+  in
+  {
+    c with
+    Circuit.devices =
+      Array.map
+        (fun (d : Circuit.device) ->
+          {
+            d with
+            Circuit.geometry =
+              [ (Layer.Diffusion, box_at d.location d.width d.length) ];
+          })
+        c.devices;
+    nets =
+      Array.mapi
+        (fun i (n : Circuit.net) ->
+          {
+            n with
+            Circuit.geometry =
+              [
+                (Layer.Metal, box_at n.location (i + 1) 2);
+                (Layer.Poly, box_at n.location 3 (i + 1));
+              ];
+          })
+        c.nets;
+  }
+
+(* The wirelist text as per-line Printf renders it: the oracle the
+   direct writer is held to, byte for byte. *)
+let printf_wirelist ~emit_geometry (c : Circuit.t) =
+  let buf = Buffer.create 4096 in
+  let pr fmt = Printf.bprintf buf fmt in
+  let net_id i = Printf.sprintf "N%d" i in
+  pr "(DefPart %S\n" c.name;
+  pr "(DefPart nEnh (Export Source Gate Drain))\n";
+  pr "(DefPart nDep (Export Source Gate Drain))\n";
+  Array.iteri
+    (fun i (d : Circuit.device) ->
+      pr "(Part %s (InstName D%d) (Location %d %d)\n"
+        (Nmos.device_type_name d.dtype)
+        i d.location.Point.x d.location.Point.y;
+      pr " (T Gate %s) (T Source %s) (T Drain %s)\n" (net_id d.gate)
+        (net_id d.source) (net_id d.drain);
+      pr " (Channel (Length %d) (Width %d)" d.length d.width;
+      if emit_geometry && d.geometry <> [] then
+        pr "\n  ( CIF \"%s\")"
+          (Wirelist.Geometry_text.to_string
+             (List.map (fun (_, bx) -> (None, bx)) d.geometry));
+      pr "))\n")
+    c.devices;
+  Array.iteri
+    (fun i (n : Circuit.net) ->
+      pr "(Net %s" (net_id i);
+      List.iter (fun name -> pr " %s" name) n.names;
+      pr " (Location %d %d)" n.location.Point.x n.location.Point.y;
+      if emit_geometry && n.geometry <> [] then
+        pr "\n ( CIF \"%s\")"
+          (Wirelist.Geometry_text.to_string
+             (List.map (fun (lyr, bx) -> (Some lyr, bx)) n.geometry));
+      pr ")\n")
+    c.nets;
+  pr "(Local";
+  Array.iteri (fun i _ -> pr " %s" (net_id i)) c.nets;
+  pr "))\n";
+  Buffer.contents buf
+
+let renders_like_printf c =
+  List.for_all
+    (fun emit_geometry ->
+      Wirelist.to_string ~emit_geometry c = printf_wirelist ~emit_geometry c)
+    [ false; true ]
+
+let prop_writer_equals_printf =
+  Tutil.qtest ~count:100 "wirelist writer renders the Printf bytes"
+    Tutil.gen_circuit (fun c ->
+      renders_like_printf c && renders_like_printf (with_geometry c))
+
+let channel_bytes ~emit_geometry c =
+  let path = Filename.temp_file "wirelist" ".wl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Wirelist.to_channel ~emit_geometry oc c);
+      In_channel.with_open_bin path In_channel.input_all)
+
+let streams_like_string c =
+  List.for_all
+    (fun emit_geometry ->
+      channel_bytes ~emit_geometry c = Wirelist.to_string ~emit_geometry c)
+    [ false; true ]
+
+let prop_channel_equals_string =
+  Tutil.qtest ~count:100 "to_channel writes the to_string bytes"
+    Tutil.gen_circuit (fun c ->
+      streams_like_string c && streams_like_string (with_geometry c))
+
+(* A circuit whose text crosses the streaming writer's flush threshold
+   (64 KiB) many times, with and without geometry. *)
+let test_wirelist_stream_large () =
+  let n = 4000 in
+  let c =
+    {
+      Circuit.name = "large";
+      devices =
+        Array.init n (fun i ->
+            {
+              Circuit.dtype =
+                (if i mod 3 = 0 then Nmos.Depletion else Nmos.Enhancement);
+              gate = i;
+              source = (i + 1) mod n;
+              drain = i * 7 mod n;
+              length = 100 + i;
+              width = 200 + i;
+              location = Point.make ((i * 13) - 5000) (-i * 17);
+              geometry = [];
+            });
+      nets =
+        Array.init n (fun i ->
+            {
+              Circuit.names =
+                (if i mod 5 = 0 then [ Printf.sprintf "SIG%d" i ] else []);
+              location = Point.make (-i) (i * 3);
+              geometry = [];
+            });
+    }
+  in
+  check "text spans several flush chunks" true
+    (String.length (Wirelist.to_string c) > 4 * 65536);
+  check "renders the Printf bytes" true
+    (renders_like_printf c && renders_like_printf (with_geometry c));
+  let extreme =
+    {
+      c with
+      Circuit.devices =
+        [| { (c.devices.(0)) with location = Point.make min_int max_int } |];
+      nets = [| { (c.nets.(0)) with location = Point.make max_int min_int } |];
+    }
+  in
+  check "extreme ints render as Printf does" true (renders_like_printf extreme);
+  check "plain circuit streams its to_string bytes" true (streams_like_string c);
+  check "circuit with geometry streams its to_string bytes" true
+    (streams_like_string (with_geometry c))
+
 let prop_compare_reflexive =
   Tutil.qtest ~count:200 "compare is reflexive" Tutil.gen_circuit (fun c ->
       Tutil.circuit_equal ~with_sizes:true c c)
@@ -712,6 +860,8 @@ let () =
           Alcotest.test_case "paper shape" `Quick test_wirelist_matches_paper_shape;
           Alcotest.test_case "geometry text" `Quick test_geometry_text;
           Alcotest.test_case "rejects garbage" `Quick test_wirelist_rejects_garbage;
+          Alcotest.test_case "stream crosses flush threshold" `Quick
+            test_wirelist_stream_large;
         ] );
       ( "spice",
         [
@@ -741,5 +891,7 @@ let () =
           prop_compare_permutation;
           prop_spice_cards;
           prop_sexp_roundtrip;
+          prop_channel_equals_string;
+          prop_writer_equals_printf;
         ] );
     ]

@@ -475,6 +475,53 @@ let test_shard_raise_joins () =
   check "extraction works after a raising shard" true
     (equiv reference (Parallel.extract ~jobs:4 design))
 
+(* Regression layouts for sizing across seams: a transistor completed
+   inside one part (a tile, or a compose of tiles) whose source
+   diffusion is two nets of that part joined only through another.
+   Flat extraction sums both edges into one terminal.
+
+   seam_merge_width.cif (shrunk from the property below) gives (Length 1)
+   (Width 10) flat; a leaf sizing over tile-local nets gave (Length 2)
+   (Width 9) on -j3 and the 3x1, 3x2 and 6x1 grids.
+
+   seam_merge_tie.cif is a 16x24 channel at x 60..76, y 0..24.  Its
+   source arms run 8 along its left edge from y 0 and 14 along its top
+   edge, joined by a bar at x 0..8; its drain runs 22 along its right
+   edge from y 2.  The merged arms tie the drain, and flat extraction
+   picks the source by the minimal edge key: the arms' y 0 beats the
+   drain's y 2, while the arms' largest key, y 24, would swap source
+   and drain.  The 2x1 grid cuts both arms at x 48 and leaves the
+   channel whole in the right tile; 2x2 also cuts the channel at y 10,
+   so the right column's compose completes it with the arms still
+   apart. *)
+let test_seam_merge () =
+  List.iter
+    (fun (file, length, width) ->
+      let design = data_design ("regress/" ^ file) in
+      let reference = flat design in
+      let d0 = reference.Ace_netlist.Circuit.devices.(0) in
+      check_int (file ^ " flat length") length d0.Ace_netlist.Circuit.length;
+      check_int (file ^ " flat width") width d0.Ace_netlist.Circuit.width;
+      let flat_wl = Ace_netlist.Wirelist.to_string reference in
+      for cols = 1 to 8 do
+        for rows = 1 to 3 do
+          check
+            (Printf.sprintf "%s %dx%d grid = flat bytes" file cols rows)
+            true
+            (Ace_netlist.Wirelist.to_string
+               (Parallel.extract ~tile:(cols, rows) design)
+            = flat_wl)
+        done
+      done;
+      for jobs = 1 to 4 do
+        check
+          (Printf.sprintf "%s -j %d = flat bytes" file jobs)
+          true
+          (Ace_netlist.Wirelist.to_string (Parallel.extract ~jobs design)
+          = flat_wl)
+      done)
+    [ ("seam_merge_width.cif", 1, 10); ("seam_merge_tie.cif", 17, 22) ]
+
 let prop_random_designs =
   Tutil.qtest ~count:60 "parallel ≡ flat on random hierarchical designs"
     Tutil.gen_design (fun ast ->
@@ -521,5 +568,6 @@ let () =
           Alcotest.test_case "raising shard joins" `Quick
             test_shard_raise_joins;
           prop_random_designs;
+          Alcotest.test_case "seam-merged sizing" `Quick test_seam_merge;
         ] );
     ]

@@ -96,28 +96,45 @@ let make ~quantum file table =
    ten meters of silicon — far beyond any legitimate design. *)
 let coord_limit = 1 lsl 30
 
-let point_in_range (p : Point.t) =
-  abs p.x < coord_limit && abs p.y < coord_limit
+(* No [abs]: [abs min_int] is negative, so it would pass as in range. *)
+let in_range v = -coord_limit < v && v < coord_limit
+let point_in_range (p : Point.t) = in_range p.x && in_range p.y
 
 let shape_in_range = function
   | Ast.Box { length; width; center; direction } ->
-      abs length < coord_limit
-      && abs width < coord_limit
-      && point_in_range center
+      in_range length && in_range width && point_in_range center
       && (match direction with None -> true | Some d -> point_in_range d)
   | Ast.Polygon pts -> List.for_all point_in_range pts
   | Ast.Wire { width; path } ->
-      abs width < coord_limit && List.for_all point_in_range path
+      in_range width && List.for_all point_in_range path
   | Ast.Round_flash { diameter; center } ->
-      abs diameter < coord_limit && point_in_range center
+      in_range diameter && point_in_range center
 
 let ops_in_range ops =
   List.for_all
     (function
-      | Ast.Translate (dx, dy) -> abs dx < coord_limit && abs dy < coord_limit
-      | Ast.Rotate (a, b) -> abs a < coord_limit && abs b < coord_limit
+      | Ast.Translate (dx, dy) -> in_range dx && in_range dy
+      | Ast.Rotate (a, b) -> in_range a && in_range b
       | Ast.Mirror_x | Ast.Mirror_y -> true)
     ops
+
+(* The strict counterpart of the lenient path's range drops. *)
+let check_ranges elements ~context =
+  List.iter
+    (function
+      | Ast.Shape { shape; _ } ->
+          if not (shape_in_range shape) then
+            fail "%s: shape coordinates exceed the supported range" context
+      | Ast.Label { name; position; _ } ->
+          if not (point_in_range position) then
+            fail "%s: label %S position exceeds the supported range" context
+              name
+      | Ast.Call { symbol; ops } ->
+          if not (ops_in_range ops) then
+            fail "%s: call of symbol %d has out-of-range transform" context
+              symbol
+      | Ast.Comment_ext _ -> ())
+    elements
 
 let of_ast_lenient ?(quantum = 125) ?max_errors (file : Ast.file) =
   let module Diag = Ace_diag.Diag in
@@ -304,11 +321,13 @@ let of_ast ?(quantum = 125) (file : Ast.file) =
     file.symbols;
   List.iter
     (fun (def : Ast.symbol_def) ->
+      let context = Printf.sprintf "symbol %d" def.id in
       check_layers def.elements;
-      check_calls table def.elements
-        ~context:(Printf.sprintf "symbol %d" def.id))
+      check_ranges def.elements ~context;
+      check_calls table def.elements ~context)
     file.symbols;
   check_layers file.top_level;
+  check_ranges file.top_level ~context:"top level";
   check_calls table file.top_level ~context:"top level";
   check_acyclic table file.top_level;
   make ~quantum file table
@@ -357,27 +376,30 @@ and symbol_bbox t id =
 
 let bbox t = elements_bbox t t.ast.top_level
 
-let rec elements_box_count t elements =
+(* [scratch] holds one shape's decomposition at a time. *)
+let rec elements_box_count t scratch elements =
   List.fold_left
     (fun acc el ->
       acc
       +
       match el with
       | Ast.Shape { shape; _ } ->
-          List.length (Shapes.boxes_of_shape ~quantum:t.quantum shape)
-      | Ast.Call { symbol; _ } -> symbol_box_count t symbol
+          scratch.Ibuf.len <- 0;
+          Shapes.add_boxes ~quantum:t.quantum shape scratch;
+          scratch.len / 4
+      | Ast.Call { symbol; _ } -> symbol_box_count t scratch symbol
       | Ast.Label _ | Ast.Comment_ext _ -> 0)
     0 elements
 
-and symbol_box_count t id =
+and symbol_box_count t scratch id =
   match Hashtbl.find_opt t.count_memo id with
   | Some n -> n
   | None ->
-      let n = elements_box_count t (symbol t id).elements in
+      let n = elements_box_count t scratch (symbol t id).elements in
       Hashtbl.replace t.count_memo id n;
       n
 
-let count_boxes t = elements_box_count t t.ast.top_level
+let count_boxes t = elements_box_count t (Ibuf.create ()) t.ast.top_level
 
 let rec elements_inst_count t elements =
   List.fold_left

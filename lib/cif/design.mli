@@ -19,7 +19,9 @@ type t
 
 (** [of_ast ?quantum ast] validates and wraps a parsed file.  [quantum] is
     the strip height for non-manhattan approximation (default λ/2 = 125
-    centimicrons).  Raises {!Semantic_error}. *)
+    centimicrons).  Raises {!Semantic_error}, also for coordinates outside
+    the supported range (±2{^30}), which later arithmetic could not
+    represent. *)
 val of_ast : ?quantum:int -> Ast.file -> t
 
 (** [of_ast_lenient ast] never raises: every semantic problem — duplicate
@@ -30,7 +32,9 @@ val of_ast : ?quantum:int -> Ast.file -> t
     On a clean input the design is identical to {!of_ast} and the list is
     empty.  Problems {!of_ast} would reject are [Error] severity; purely
     defensive drops (degenerate boxes, coordinate-overflow guards) are
-    [Warning]s. *)
+    [Warning]s.  Out-of-range coordinates are the one overlap: {!of_ast}
+    rejects them, and here they stay a [sem-coordinate-overflow]
+    warning. *)
 val of_ast_lenient :
   ?quantum:int -> ?max_errors:int -> Ast.file -> t * Ace_diag.Diag.t list
 

@@ -14,8 +14,11 @@ let fail ~code pos fmt =
     (fun message -> raise (Perror { position = pos; code; message }))
     fmt
 
-let is_digit c = c >= '0' && c <= '9'
-let is_upper c = c >= 'A' && c <= 'Z'
+(* The lexer works on byte codes ([Char.code]), with -1 for end of input,
+   so looking at a byte allocates nothing. *)
+let eof = -1
+let is_digit c = c >= Char.code '0' && c <= Char.code '9'
+let is_upper c = c >= Char.code 'A' && c <= Char.code 'Z'
 
 type def_state = {
   def_id : int;
@@ -25,18 +28,24 @@ type def_state = {
   mutable def_elements : Ast.element list;  (** reversed *)
 }
 
-let scale st n =
+(* [pos] is the literal's first digit, where an overflowing product is
+   reported. *)
+let scale st ~pos n =
   match st with
   | None -> n
   | Some d ->
+      (* [n] is never [min_int] (literals are at most [max_int] in
+         magnitude), so [abs n] is exact *)
+      if abs n > max_int / d.scale_num then
+        fail ~code:"cif-integer-overflow" pos
+          "coordinate %d scaled by %d/%d is out of range" n d.scale_num
+          d.scale_den;
       (* round-half-away-from-zero on the (rare) non-exact case *)
       let v = n * d.scale_num in
       if v mod d.scale_den = 0 then v / d.scale_den
       else
         let q = float_of_int v /. float_of_int d.scale_den in
         int_of_float (Float.round q)
-
-let scale_point st (p : Point.t) = Point.make (scale st p.x) (scale st p.y)
 
 (* The lexer is generic in how it reads characters, so the same code path
    serves an in-memory string and a memory-mapped file without copying
@@ -51,87 +60,118 @@ module type CHARS = sig
   val sub : t -> int -> int -> string
 end
 
-module Make (S : CHARS) = struct
-  type cursor = { src : S.t; mutable pos : int }
+(* Layer names are shared within one parse: an [L] command whose name was
+   seen before reuses that string instead of copying the bytes again.
+   Real files use a handful of layers; past this many distinct names the
+   rest are copied per use, so a hostile file cannot make lookups slow. *)
+let max_interned_layers = 32
 
-  let peek cur = if cur.pos < S.length cur.src then Some (S.get cur.src cur.pos) else None
+module Make (S : CHARS) = struct
+  type cursor = {
+    src : S.t;
+    len : int;
+    mutable pos : int;
+    mutable lit : int;  (** first digit of the last integer literal read *)
+    mutable layers : string list;  (** interned layer names *)
+    mutable n_layers : int;
+  }
+
+  let peek cur =
+    if cur.pos < cur.len then Char.code (S.get cur.src cur.pos) else eof
+
+  (* For matching on command letters: end of input reads as NUL, which
+     no command starts with. *)
+  let peek_char cur =
+    let c = peek cur in
+    if c = eof then '\000' else Char.unsafe_chr c
 
   (* Skip CIF blanks: anything that is not a digit, uppercase letter, '-',
      '(', ')' or ';'.  Parenthesized comments nest and count as blank. *)
   let rec skip_blanks cur =
-    match peek cur with
-    | None -> ()
-    | Some '(' ->
-        let opened = cur.pos in
-        let depth = ref 0 in
-        let continue = ref true in
-        while !continue do
-          (match peek cur with
-          | None ->
-              fail ~code:"cif-unterminated-comment" opened "unterminated comment"
-          | Some '(' -> incr depth
-          | Some ')' -> if !depth = 1 then continue := false else decr depth
-          | Some _ -> ());
-          cur.pos <- cur.pos + 1
-        done;
-        skip_blanks cur
-    | Some c when is_digit c || is_upper c || c = '-' || c = ';' || c = ')' -> ()
-    | Some _ ->
-        cur.pos <- cur.pos + 1;
-        skip_blanks cur
+    let c = peek cur in
+    if c = Char.code '(' then begin
+      let opened = cur.pos in
+      let depth = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let c = peek cur in
+        if c = eof then
+          fail ~code:"cif-unterminated-comment" opened "unterminated comment"
+        else if c = Char.code '(' then incr depth
+        else if c = Char.code ')' then
+          if !depth = 1 then continue := false else decr depth;
+        cur.pos <- cur.pos + 1
+      done;
+      skip_blanks cur
+    end
+    else if
+      c = eof || is_digit c || is_upper c
+      || c = Char.code '-' || c = Char.code ';' || c = Char.code ')'
+    then ()
+    else begin
+      cur.pos <- cur.pos + 1;
+      skip_blanks cur
+    end
 
+  (* Digits accumulate in place; only an overflowing literal is copied, to
+     quote it in the error. *)
   let read_int cur =
     skip_blanks cur;
-    let neg =
-      match peek cur with
-      | Some '-' ->
-          cur.pos <- cur.pos + 1;
-          true
-      | _ -> false
-    in
+    let neg = peek cur = Char.code '-' in
+    if neg then cur.pos <- cur.pos + 1;
     let start = cur.pos in
-    while match peek cur with Some c when is_digit c -> true | _ -> false do
-      cur.pos <- cur.pos + 1
+    let n = ref 0 and overflow = ref false in
+    let c = ref (peek cur) in
+    while is_digit !c do
+      let d = !c - Char.code '0' in
+      if !n > (max_int - d) / 10 then overflow := true else n := (!n * 10) + d;
+      cur.pos <- cur.pos + 1;
+      c := peek cur
     done;
     if cur.pos = start then
       fail ~code:"cif-expected-integer" cur.pos "expected an integer";
-    let digits = S.sub cur.src start (cur.pos - start) in
-    match int_of_string digits with
-    | n -> if neg then -n else n
-    | exception Failure _ ->
-        fail ~code:"cif-integer-overflow" start
-          "integer literal '%s%s' out of range"
-          (if neg then "-" else "")
-          digits
+    if !overflow then
+      fail ~code:"cif-integer-overflow" start
+        "integer literal '%s%s' out of range"
+        (if neg then "-" else "")
+        (S.sub cur.src start (cur.pos - start));
+    cur.lit <- start;
+    if neg then - !n else !n
 
-  let try_read_int cur =
+  (* An integer read inside a definition, scaled by its [DS] factor. *)
+  let read_scaled cur st =
+    let n = read_int cur in
+    scale st ~pos:cur.lit n
+
+  (* Does an integer (possibly negative) start at the next token? *)
+  let at_int cur =
     skip_blanks cur;
-    match peek cur with
-    | Some c when is_digit c || c = '-' -> Some (read_int cur)
-    | Some _ | None -> None
+    let c = peek cur in
+    is_digit c || c = Char.code '-'
 
-  let read_point cur =
-    let x = read_int cur in
-    let y = read_int cur in
+  let read_point cur st =
+    let x = read_scaled cur st in
+    let y = read_scaled cur st in
     Point.make x y
 
   let expect_semi cur =
     skip_blanks cur;
-    match peek cur with
-    | Some ';' -> cur.pos <- cur.pos + 1
-    | Some c -> fail ~code:"cif-expected-semi" cur.pos "expected ';', found %c" c
-    | None ->
-        fail ~code:"cif-expected-semi" cur.pos "expected ';', found end of input"
+    let c = peek cur in
+    if c = Char.code ';' then cur.pos <- cur.pos + 1
+    else if c = eof then
+      fail ~code:"cif-expected-semi" cur.pos "expected ';', found end of input"
+    else
+      fail ~code:"cif-expected-semi" cur.pos "expected ';', found %c"
+        (Char.chr c)
 
   (* Read the rest of the command verbatim (for user extensions). *)
   let read_to_semi cur =
     let start = cur.pos in
     while
-      match peek cur with
-      | Some ';' -> false
-      | Some _ -> true
-      | None ->
-          fail ~code:"cif-unterminated-command" start "unterminated command"
+      let c = peek cur in
+      if c = eof then
+        fail ~code:"cif-unterminated-command" start "unterminated command";
+      c <> Char.code ';'
     do
       cur.pos <- cur.pos + 1
     done;
@@ -139,56 +179,76 @@ module Make (S : CHARS) = struct
     cur.pos <- cur.pos + 1;
     String.trim text
 
+  let rec same_bytes cur start n s i =
+    i >= n
+    || Char.code (S.get cur.src (start + i)) = Char.code (String.unsafe_get s i)
+       && same_bytes cur start n s (i + 1)
+
+  let rec find_layer cur start n = function
+    | [] -> raise_notrace Not_found
+    | s :: rest ->
+        if String.length s = n && same_bytes cur start n s 0 then s
+        else find_layer cur start n rest
+
   let read_layer_name cur =
     skip_blanks cur;
     let start = cur.pos in
     while
-      match peek cur with
-      | Some c when is_upper c || is_digit c -> true
-      | Some _ | None -> false
+      let c = peek cur in
+      is_upper c || is_digit c
     do
       cur.pos <- cur.pos + 1
     done;
-    if cur.pos = start then
+    let n = cur.pos - start in
+    if n = 0 then
       fail ~code:"cif-expected-layer-name" cur.pos "expected a layer name";
-    S.sub cur.src start (cur.pos - start)
+    match find_layer cur start n cur.layers with
+    | s -> s
+    | exception Not_found ->
+        let s = S.sub cur.src start n in
+        if cur.n_layers < max_interned_layers then begin
+          cur.layers <- s :: cur.layers;
+          cur.n_layers <- cur.n_layers + 1
+        end;
+        s
 
-  let read_points_until_semi cur =
+  let read_points_until_semi cur st =
     let rec go acc =
-      match try_read_int cur with
-      | None -> List.rev acc
-      | Some x ->
-          let y = read_int cur in
-          go (Point.make x y :: acc)
+      if at_int cur then
+        let p = read_point cur st in
+        go (p :: acc)
+      else List.rev acc
     in
     go []
 
-  let read_transform_ops cur =
+  (* Translations are scaled as they are read, so an overflow is reported
+     at its literal. *)
+  let read_transform_ops cur st =
     let rec go acc =
       skip_blanks cur;
-      match peek cur with
-      | Some 'T' ->
+      match peek_char cur with
+      | 'T' ->
           cur.pos <- cur.pos + 1;
-          let dx = read_int cur in
-          let dy = read_int cur in
+          let dx = read_scaled cur st in
+          let dy = read_scaled cur st in
           go (Ast.Translate (dx, dy) :: acc)
-      | Some 'M' ->
+      | 'M' -> (
           cur.pos <- cur.pos + 1;
           skip_blanks cur;
-          (match peek cur with
-          | Some 'X' ->
+          match peek_char cur with
+          | 'X' ->
               cur.pos <- cur.pos + 1;
               go (Ast.Mirror_x :: acc)
-          | Some 'Y' ->
+          | 'Y' ->
               cur.pos <- cur.pos + 1;
               go (Ast.Mirror_y :: acc)
           | _ -> fail ~code:"cif-bad-transform" cur.pos "expected X or Y after M")
-      | Some 'R' ->
+      | 'R' ->
           cur.pos <- cur.pos + 1;
           let a = read_int cur in
           let b = read_int cur in
           go (Ast.Rotate (a, b) :: acc)
-      | Some _ | None -> List.rev acc
+      | _ -> List.rev acc
     in
     go []
 
@@ -196,16 +256,14 @@ module Make (S : CHARS) = struct
      layer name); returns None at ';'. *)
   let try_read_word cur =
     skip_blanks cur;
-    match peek cur with
-    | Some c when is_upper c -> Some (read_layer_name cur)
-    | Some _ | None -> None
+    if is_upper (peek cur) then Some (read_layer_name cur) else None
 
   (* Labels in extension 94: a name is any run of non-blank, non-';'
      characters starting at the first non-blank position. *)
   let read_label_name cur =
     let rec skip_soft () =
-      match peek cur with
-      | Some c when c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = ',' ->
+      match peek_char cur with
+      | ' ' | '\t' | '\n' | '\r' | ',' ->
           cur.pos <- cur.pos + 1;
           skip_soft ()
       | _ -> ()
@@ -213,10 +271,9 @@ module Make (S : CHARS) = struct
     skip_soft ();
     let start = cur.pos in
     while
-      match peek cur with
-      | Some c when c <> ';' && c <> ' ' && c <> '\t' && c <> '\n' && c <> '\r' ->
-          true
-      | Some _ | None -> false
+      let c = peek cur in
+      c <> eof && c <> Char.code ';' && c <> Char.code ' '
+      && c <> Char.code '\t' && c <> Char.code '\n' && c <> Char.code '\r'
     do
       cur.pos <- cur.pos + 1
     done;
@@ -231,10 +288,13 @@ module Make (S : CHARS) = struct
      comment/blank structure cannot be trusted. *)
   let resync cur =
     let start = cur.pos in
-    let len = S.length cur.src in
+    let len = cur.len in
     (* a marker only counts when it is not a prefix of a longer word *)
     let word_ends_at i =
-      i >= len || not (is_upper (S.get cur.src i) || is_digit (S.get cur.src i))
+      i >= len
+      ||
+      let c = Char.code (S.get cur.src i) in
+      not (is_upper c || is_digit c)
     in
     let stop = ref false in
     while not !stop do
@@ -261,21 +321,23 @@ module Make (S : CHARS) = struct
      synchronization point, so the returned AST covers everything that could
      be salvaged. *)
   let parse ?collector src =
-    let cur = { src; pos = 0 } in
+    let cur =
+      { src; len = S.length src; pos = 0; lit = 0; layers = []; n_layers = 0 }
+    in
     let symbols = ref [] in
     let top = ref [] in
     let current_def : def_state option ref = ref None in
-    let current_layer = ref None in
+    (* "" until the first L command: layer names are never empty *)
+    let current_layer = ref "" in
     let add_element e =
       match !current_def with
       | Some d -> d.def_elements <- e :: d.def_elements
       | None -> top := e :: !top
     in
     let require_layer pos =
-      match !current_layer with
-      | Some layer -> layer
-      | None ->
-          fail ~code:"cif-no-layer" pos "geometry before any L (layer) command"
+      if !current_layer = "" then
+        fail ~code:"cif-no-layer" pos "geometry before any L (layer) command";
+      !current_layer
     in
     let add_shape layer shape = add_element (Ast.Shape { layer; shape }) in
     let commit_def (d : def_state) =
@@ -284,82 +346,84 @@ module Make (S : CHARS) = struct
         :: !symbols;
       current_def := None;
       (* CIF: the current layer does not survive a definition *)
-      current_layer := None
+      current_layer := ""
     in
     let finished = ref false in
     let step () =
       skip_blanks cur;
-      match peek cur with
-      | None -> (
+      (* skip_blanks consumed every NUL byte, so NUL here is end of input *)
+      match peek_char cur with
+      | '\000' -> (
           match !current_def with
           | Some _ ->
               fail ~code:"cif-unterminated-definition" cur.pos
                 "end of input inside a symbol definition (missing DF)"
           | None -> fail ~code:"cif-missing-end" cur.pos "missing E (end) command")
-      | Some ';' -> cur.pos <- cur.pos + 1 (* empty command *)
-      | Some 'P' ->
+      | ';' -> cur.pos <- cur.pos + 1 (* empty command *)
+      | 'P' ->
           let layer = require_layer cur.pos in
           cur.pos <- cur.pos + 1;
-          let pts = read_points_until_semi cur in
+          let pts = read_points_until_semi cur !current_def in
           expect_semi cur;
-          let st = !current_def in
-          add_shape layer (Ast.Polygon (List.map (scale_point st) pts))
-      | Some 'B' ->
+          add_shape layer (Ast.Polygon pts)
+      | 'B' ->
           let layer = require_layer cur.pos in
           cur.pos <- cur.pos + 1;
           let st = !current_def in
-          let length = scale st (read_int cur) in
-          let width = scale st (read_int cur) in
-          let center = scale_point st (read_point cur) in
+          let length = read_scaled cur st in
+          let width = read_scaled cur st in
+          let center = read_point cur st in
           let direction =
-            match try_read_int cur with
-            | None -> None
-            | Some a ->
-                let b = read_int cur in
-                Some (Point.make a b)
+            if at_int cur then begin
+              let a = read_int cur in
+              let b = read_int cur in
+              Some (Point.make a b)
+            end
+            else None
           in
           expect_semi cur;
           add_shape layer (Ast.Box { length; width; center; direction })
-      | Some 'W' ->
+      | 'W' ->
           let layer = require_layer cur.pos in
           cur.pos <- cur.pos + 1;
           let st = !current_def in
-          let width = scale st (read_int cur) in
-          let path = List.map (scale_point st) (read_points_until_semi cur) in
+          let width = read_scaled cur st in
+          let path = read_points_until_semi cur st in
           expect_semi cur;
           add_shape layer (Ast.Wire { width; path })
-      | Some 'R' ->
+      | 'R' ->
           let layer = require_layer cur.pos in
           cur.pos <- cur.pos + 1;
           let st = !current_def in
-          let diameter = scale st (read_int cur) in
-          let center = scale_point st (read_point cur) in
+          let diameter = read_scaled cur st in
+          let center = read_point cur st in
           expect_semi cur;
           add_shape layer (Ast.Round_flash { diameter; center })
-      | Some 'L' ->
+      | 'L' ->
           cur.pos <- cur.pos + 1;
           let name = read_layer_name cur in
           expect_semi cur;
-          current_layer := Some name
-      | Some 'D' ->
+          current_layer := name
+      | 'D' ->
           cur.pos <- cur.pos + 1;
           skip_blanks cur;
-          (match peek cur with
-          | Some 'S' ->
+          (match peek_char cur with
+          | 'S' ->
               if !current_def <> None then
                 fail ~code:"cif-nested-definition" cur.pos
                   "nested DS (symbol definitions cannot nest)";
               cur.pos <- cur.pos + 1;
               let id = read_int cur in
               let scale_num, scale_den =
-                match try_read_int cur with
-                | None -> (1, 1)
-                | Some a ->
-                    let b = read_int cur in
-                    if a <= 0 || b <= 0 then
-                      fail ~code:"cif-bad-scale" cur.pos
-                        "DS scale factors must be positive";
-                    (a, b)
+                if at_int cur then begin
+                  let a = read_int cur in
+                  let b = read_int cur in
+                  if a <= 0 || b <= 0 then
+                    fail ~code:"cif-bad-scale" cur.pos
+                      "DS scale factors must be positive";
+                  (a, b)
+                end
+                else (1, 1)
               in
               expect_semi cur;
               current_def :=
@@ -371,7 +435,7 @@ module Make (S : CHARS) = struct
                     def_name = None;
                     def_elements = [];
                   }
-          | Some 'F' ->
+          | 'F' ->
               cur.pos <- cur.pos + 1;
               (match !current_def with
               | None ->
@@ -379,7 +443,7 @@ module Make (S : CHARS) = struct
               | Some d ->
                   expect_semi cur;
                   commit_def d)
-          | Some 'D' ->
+          | 'D' ->
               cur.pos <- cur.pos + 1;
               let n = read_int cur in
               expect_semi cur;
@@ -387,35 +451,25 @@ module Make (S : CHARS) = struct
               symbols := List.filter (fun (s : Ast.symbol_def) -> s.id < n) !symbols
           | _ ->
               fail ~code:"cif-bad-d-command" cur.pos "expected S, F or D after D")
-      | Some 'C' ->
+      | 'C' ->
           cur.pos <- cur.pos + 1;
           let symbol = read_int cur in
-          let raw_ops = read_transform_ops cur in
+          let ops = read_transform_ops cur !current_def in
           expect_semi cur;
-          let st = !current_def in
-          let ops =
-            List.map
-              (function
-                | Ast.Translate (dx, dy) ->
-                    Ast.Translate (scale st dx, scale st dy)
-                | (Ast.Mirror_x | Ast.Mirror_y | Ast.Rotate _) as op -> op)
-              raw_ops
-          in
           add_element (Ast.Call { symbol; ops })
-      | Some 'E' ->
+      | 'E' ->
           cur.pos <- cur.pos + 1;
           if !current_def <> None then
             fail ~code:"cif-end-in-definition" (cur.pos - 1)
               "E inside a symbol definition";
           finished := true
-      | Some '9' -> (
+      | '9' -> (
           cur.pos <- cur.pos + 1;
-          match peek cur with
-          | Some '4' ->
+          match peek_char cur with
+          | '4' ->
               cur.pos <- cur.pos + 1;
               let name = read_label_name cur in
-              let st = !current_def in
-              let position = scale_point st (read_point cur) in
+              let position = read_point cur !current_def in
               let layer = try_read_word cur in
               expect_semi cur;
               add_element (Ast.Label { name; position; layer })
@@ -426,10 +480,10 @@ module Make (S : CHARS) = struct
               (match !current_def with
               | Some d -> d.def_name <- Some name
               | None -> add_element (Ast.Comment_ext ("9 " ^ name))))
-      | Some c when is_digit c ->
+      | '0' .. '8' ->
           let text = read_to_semi cur in
           add_element (Ast.Comment_ext text)
-      | Some c -> fail ~code:"cif-unknown-command" cur.pos "unknown command '%c'" c
+      | c -> fail ~code:"cif-unknown-command" cur.pos "unknown command '%c'" c
     in
     (match collector with
     | None -> while not !finished do step () done
@@ -477,7 +531,11 @@ module Of_bigstring = Make (struct
   type t = bigstring
 
   let length = Bigarray.Array1.dim
-  let get = Bigarray.Array1.get
+
+  (* The annotation matters: bound without its element kind,
+     [Bigarray.Array1.get] compiles to a generic C call per byte instead of
+     an inline load. *)
+  let get (ba : t) i = Bigarray.Array1.get ba i
 
   let sub ba pos len =
     let b = Bytes.create len in

@@ -9,16 +9,27 @@ let classify_direction = function
       else if d.x = 0 && d.y <> 0 then Along_y
       else Sloped d
 
-let boxes_of_shape ~quantum (shape : Ast.shape) =
+let push_box (buf : Ibuf.t) l b r t =
+  Ibuf.push buf l;
+  Ibuf.push buf b;
+  Ibuf.push buf r;
+  Ibuf.push buf t
+
+let push_centered buf (center : Point.t) w h =
+  let l = Box.low_edge ~center:center.x ~size:w
+  and b = Box.low_edge ~center:center.y ~size:h in
+  push_box buf l b (l + w) (b + h)
+
+let push_boxes buf boxes =
+  List.iter (fun (bx : Box.t) -> push_box buf bx.l bx.b bx.r bx.t) boxes
+
+let add_boxes ~quantum (shape : Ast.shape) buf =
   match shape with
   | Ast.Box { length; width; center; direction } -> (
-      if length <= 0 || width <= 0 then []
-      else
+      if length > 0 && width > 0 then
         match classify_direction direction with
-        | Along_x ->
-            [ Box.of_center_size ~cx:center.x ~cy:center.y ~w:length ~h:width ]
-        | Along_y ->
-            [ Box.of_center_size ~cx:center.x ~cy:center.y ~w:width ~h:length ]
+        | Along_x -> push_centered buf center length width
+        | Along_y -> push_centered buf center width length
         | Sloped d ->
             (* rotate the rectangle's corners about the center *)
             let fl = float_of_int in
@@ -32,12 +43,25 @@ let boxes_of_shape ~quantum (shape : Ast.shape) =
                 (center.y
                  + int_of_float (Float.round ((sx *. hx *. uy) +. (sy *. hy *. ux))))
             in
-            Poly.boxes_of_polygon ~quantum
-              [ corner (-1.) (-1.); corner 1. (-1.); corner 1. 1.; corner (-1.) 1. ])
-  | Ast.Polygon pts -> Poly.boxes_of_polygon ~quantum pts
-  | Ast.Wire { width; path } -> Poly.boxes_of_wire ~quantum ~width path
+            push_boxes buf
+              (Poly.boxes_of_polygon ~quantum
+                 [ corner (-1.) (-1.); corner 1. (-1.); corner 1. 1.; corner (-1.) 1. ]))
+  | Ast.Polygon pts -> push_boxes buf (Poly.boxes_of_polygon ~quantum pts)
+  | Ast.Wire { width; path } ->
+      push_boxes buf (Poly.boxes_of_wire ~quantum ~width path)
   | Ast.Round_flash { diameter; center } ->
-      Poly.boxes_of_round_flash ~quantum ~diameter ~center
+      push_boxes buf (Poly.boxes_of_round_flash ~quantum ~diameter ~center)
+
+let boxes_of_shape ~quantum shape =
+  (* room for one box, the common case *)
+  let buf = { Ibuf.data = Array.make 4 0; len = 0 } in
+  add_boxes ~quantum shape buf;
+  let d = buf.data and acc = ref [] in
+  for k = (buf.len / 4) - 1 downto 0 do
+    let i = 4 * k in
+    acc := Box.make ~l:d.(i) ~b:d.(i + 1) ~r:d.(i + 2) ~t:d.(i + 3) :: !acc
+  done;
+  !acc
 
 let shape_bbox (shape : Ast.shape) =
   match shape with

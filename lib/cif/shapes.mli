@@ -7,7 +7,13 @@ open Ace_geom
     (ACE §3).  [quantum] is the strip height used for the approximation,
     typically λ/2. *)
 
-(** Decomposed boxes of a shape, in symbol-local coordinates. *)
+(** [add_boxes ~quantum shape buf] appends the boxes of [shape], in
+    symbol-local coordinates, to [buf] as four ints each (l, b, r, t).  The
+    int-level decomposition: a manhattan box allocates nothing here. *)
+val add_boxes : quantum:int -> Ast.shape -> Ibuf.t -> unit
+
+(** Decomposed boxes of a shape, in symbol-local coordinates, in
+    {!add_boxes} order. *)
 val boxes_of_shape : quantum:int -> Ast.shape -> Box.t list
 
 (** Cheap conservative bounding box (no decomposition); [None] for

@@ -42,8 +42,8 @@ val drain : t -> (Layer.t * Box.t) list
     Exposed for the streaming-boundedness tests and telemetry. *)
 val pending : t -> int
 
-(** All labels of the design (eagerly collected — labels are rare), sorted
-    by decreasing y. *)
+(** All labels of the design, sorted by decreasing y; collected on the
+    first call. *)
 val labels : t -> Design.label list
 
 (** Number of one-level expansions performed so far (front-end work

@@ -411,11 +411,6 @@ let run ?(cancel = Cancel.never) config source ~labels =
   let connect_buf = ref (Array.make 16 0) in
   let pending_labels = ref labels in
   let stops = ref 0 and max_active = ref 0 in
-  let clip bx =
-    match config.window with
-    | None -> Some bx
-    | Some w -> Box.clip bx ~window:w
-  in
   (* The creation point is (span lo, top of the creating strip): the
      strip top at creation is always a transition edge of the net's own
      geometry (a clipped box top, or the bottom of the poly/buried box
@@ -741,12 +736,9 @@ let run ?(cancel = Cancel.never) config source ~labels =
           incoming_scratch.(i).alen <- 0
         done;
         List.iter
-          (fun (lyr, bx) ->
-            match clip bx with
-            | None -> ()
-            | Some (bx : Box.t) ->
-                if bx.t = y_top then
-                  arena_push incoming_scratch.(Layer.index lyr) bx.l bx.r bx.b)
+          (fun (lyr, (bx : Box.t)) ->
+            if bx.t = y_top then
+              arena_push incoming_scratch.(Layer.index lyr) bx.l bx.r bx.b)
           incoming;
         for i = 0 to Layer.count - 1 do
           let batch = incoming_scratch.(i) in

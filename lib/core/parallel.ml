@@ -259,15 +259,16 @@ let run_shard ~cancel ~on_shard design window labels idx =
   let t0 = Trace.now_ns () in
   let stream = Ace_cif.Stream.create ~window design in
   let seen = ref 0 in
-  let clipped =
-    Engine.source_clipped (Engine.source_of_stream ~cancel stream) ~window
-  in
+  (* [Engine.run] clips to the window; the windowed stream only pops boxes
+     with positive-area overlap, so each popped box survives the clip and
+     counting at the pop counts the tile's boxes *)
+  let streamed = Engine.source_of_stream ~cancel stream in
   let source =
     {
-      Engine.peek = clipped.Engine.peek;
-      pop =
+      streamed with
+      Engine.pop =
         (fun y ->
-          let bs = clipped.Engine.pop y in
+          let bs = streamed.Engine.pop y in
           seen := !seen + List.length bs;
           bs);
     }

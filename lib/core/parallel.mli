@@ -30,7 +30,7 @@ open Ace_netlist
 (** Per-tile telemetry. *)
 type shard = {
   s_window : Box.t;  (** the tile, chip coordinates *)
-  s_boxes : int;  (** clipped boxes the tile's engine processed *)
+  s_boxes : int;  (** boxes the tile's stream popped, each overlapping the tile *)
   s_stops : int;  (** scanline stops *)
   s_max_active : int;  (** peak scanline population *)
   s_seconds : float;  (** wall time of the whole tile (stream + scan) *)

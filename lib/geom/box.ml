@@ -9,11 +9,13 @@ let make ~l ~b ~r ~t =
 let of_corners (p : Point.t) (q : Point.t) =
   make ~l:(min p.x q.x) ~b:(min p.y q.y) ~r:(max p.x q.x) ~t:(max p.y q.y)
 
+(* CIF boxes have centimicron resolution; round corners outward for odd
+   sizes so the box never collapses. *)
+let low_edge ~center ~size = center - (size / 2)
+
 let of_center_size ~cx ~cy ~w ~h =
   if w <= 0 || h <= 0 then invalid_arg "Box.of_center_size: non-positive size";
-  (* CIF boxes have centimicron resolution; round corners outward for odd
-     sizes so the box never collapses. *)
-  let l = cx - (w / 2) and b = cy - (h / 2) in
+  let l = low_edge ~center:cx ~size:w and b = low_edge ~center:cy ~size:h in
   make ~l ~b ~r:(l + w) ~t:(b + h)
 
 let width bx = bx.r - bx.l

@@ -21,6 +21,11 @@ val of_corners : Point.t -> Point.t -> t
     corners land on integers (even, for odd centers use [make]). *)
 val of_center_size : cx:int -> cy:int -> w:int -> h:int -> t
 
+(** [low_edge ~center ~size] is the int-level form of {!of_center_size}
+    along one axis: the low edge of an extent [size] centred at [center];
+    the high edge is [low_edge ~center ~size + size]. *)
+val low_edge : center:int -> size:int -> int
+
 val width : t -> int
 val height : t -> int
 val area : t -> int

@@ -35,6 +35,32 @@ val apply : t -> Point.t -> Point.t
 (** Transformed box (corners mapped, result re-normalized). *)
 val apply_box : t -> Box.t -> Box.t
 
+(** {2 Int-level forms}
+
+    For callers that keep transforms inside flat int arrays, as
+    [ints] consecutive ints (the matrix rows, then the offset).  {!compose}
+    and {!apply_box} are defined through these, so the arithmetic has one
+    home. *)
+
+(** Ints per stored transform (6). *)
+val ints : int
+
+(** [blit t dst pos] stores [t] at [dst.(pos)]. *)
+val blit : t -> int array -> int -> unit
+
+(** [compose_into o oi i ii dst pos] stores [compose outer inner] at
+    [dst.(pos)], where [outer] is stored at [o.(oi)] and [inner] at
+    [i.(ii)].  [dst] may alias either operand. *)
+val compose_into :
+  int array -> int -> int array -> int -> int array -> int -> unit
+
+(** [apply_box_into tr ti ~l ~b ~r ~t dst pos] stores the image of the box
+    [l b r t] under the transform at [tr.(ti)] as four ints l b r t at
+    [dst.(pos)] — {!apply_box} without allocating. *)
+val apply_box_into :
+  int array -> int -> l:int -> b:int -> r:int -> t:int -> int array -> int ->
+  unit
+
 (** Does the transform preserve axis alignment trivially (always true for
     this type); exposed for documentation of invariants in callers. *)
 val is_orthogonal : t -> bool

@@ -36,6 +36,16 @@ let index = function
   | Buried -> 5
   | Glass -> 6
 
+let of_index = function
+  | 0 -> Diffusion
+  | 1 -> Poly
+  | 2 -> Contact
+  | 3 -> Metal
+  | 4 -> Implant
+  | 5 -> Buried
+  | 6 -> Glass
+  | i -> invalid_arg (Printf.sprintf "Layer.of_index: %d" i)
+
 let count = 7
 let equal a b = index a = index b
 let compare a b = Int.compare (index a) (index b)

@@ -36,6 +36,9 @@ val hash : t -> int
 (** Dense index in [0, count); usable as an array index. *)
 val index : t -> int
 
+(** Inverse of {!index}; raises [Invalid_argument] outside [0, count). *)
+val of_index : int -> t
+
 val count : int
 
 val pp : Format.formatter -> t -> unit

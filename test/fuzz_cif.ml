@@ -35,6 +35,12 @@
       parser is total on raw fuzz text, and on every input HEXT can
       extract hierarchically, the hierarchical comparator returns
       exactly the flat comparator's verdict;
+   10. coordinate range — on generated designs whose DS factors, extents,
+      centres and translations sit near ±2^61 (or just inside the 2^30
+      coordinate limit), the strict front end ends in a parse or semantic
+      error or in a design that extracts, and the lenient design always
+      extracts: no arithmetic wraps into an [Invalid_argument] from the
+      geometry;
    9. tiled-extraction identity — every extractable input, re-extracted
       through the tiled parallel path under an input-seeded random tile
       grid, yields a wirelist byte-identical to the flat extractor's
@@ -118,6 +124,28 @@ let mutate src =
 let random_soup () =
   String.init (Random.State.int rng 400) (fun _ -> random_char ())
 
+(* Designs for property 10, from their own stream so the mutated and
+   soup inputs above stay what they were for a given seed. *)
+let wide_rng = Random.State.make [| seed; 61 |]
+
+let wide_int () =
+  let r = wide_rng in
+  let v =
+    match Random.State.int r 3 with
+    | 0 -> Random.State.int r 20
+    | 1 -> (1 lsl 30) - 2 + Random.State.int r 4
+    | _ -> (1 lsl 61) - 2 + Random.State.int r 4
+  in
+  if Random.State.int r 4 = 0 then -v else v
+
+let wide_design () =
+  let n () = string_of_int (wide_int ()) in
+  let factor () = string_of_int (max 1 (abs (wide_int ()))) in
+  let box layer = Printf.sprintf "L %s; B %s %s %s %s;" layer (n ()) (n ()) (n ()) (n ()) in
+  Printf.sprintf "DS 1 %s %s; %s %s 94 a %s %s; DF; C 1 T %s %s; C 1 M X; %s E"
+    (factor ()) (factor ()) (box "ND") (box "NP") (n ()) (n ()) (n ()) (n ())
+    (box "NM")
+
 let failures = ref 0
 
 let fail_input what input e =
@@ -127,6 +155,13 @@ let fail_input what input e =
     (if String.length input > 400 then String.sub input 0 400 ^ "..." else input)
 
 let has_error diags = List.exists Diag.is_error diags
+
+(* Semantic diagnostics on which strict [Design.of_ast] fails: every error,
+   and the coordinate-range drops, which it rejects too but the lenient
+   path reports as warnings. *)
+let rejects_design sdiags =
+  has_error sdiags
+  || List.exists (fun (d : Diag.t) -> d.code = "sem-coordinate-overflow") sdiags
 
 (* property 4: tracing is an observer.  With a recording session active
    the lenient parse must report exactly the diagnostics it reported
@@ -339,7 +374,7 @@ let run_one input =
           | exception Design.Semantic_error _ -> (
               match Design.of_ast_lenient strict_ast with
               | _, sdiags ->
-                  if not (has_error sdiags) then
+                  if not (rejects_design sdiags) then
                     fail_input "strict design failed but lenient saw no error"
                       input (Failure "disagreement")
               | exception e -> fail_input "of_ast_lenient raised" input e)
@@ -347,7 +382,7 @@ let run_one input =
           | strict_design -> (
               match Design.of_ast_lenient strict_ast with
               | lenient_design, sdiags -> (
-                  if has_error sdiags then
+                  if rejects_design sdiags then
                     fail_input "strict design ok but lenient errored" input
                       (Failure "disagreement");
                   (* lenient box counting must be total even where strict
@@ -420,6 +455,24 @@ let mmap_equiv input =
             fail_input "mmap and string strict outcomes differ" input
               (Failure "strict mismatch"))
 
+(* property 10 *)
+let wide_total input =
+  let extracts what design =
+    match Ace_core.Extractor.extract ~name:"fuzz" design with
+    | (_ : Ace_netlist.Circuit.t) -> ()
+    | exception e -> fail_input (what ^ " extraction raised") input e
+  in
+  (match Design.of_ast (Parser.parse_string input) with
+  | exception (Parser.Error _ | Design.Semantic_error _) -> ()
+  | exception e -> fail_input "strict front end raised" input e
+  | design -> extracts "strict" design);
+  match Parser.parse_string_lenient input with
+  | exception e -> fail_input "parse_string_lenient raised" input e
+  | ast, _ -> (
+      match Design.of_ast_lenient ast with
+      | exception e -> fail_input "of_ast_lenient raised" input e
+      | design, _ -> extracts "lenient" design)
+
 (* property 5: one shared in-process server (no cache, no faults), fed
    the same fuzz inputs the front-end properties use *)
 let serve_state =
@@ -480,7 +533,12 @@ let () =
     (* file round-trips cost a syscall pair each; sample them *)
     if i mod 4 = 0 then mmap_equiv input;
     (* wrapped extraction is the expensive path; sample it *)
-    if i mod 8 = 0 then protocol_total input ~as_request:true
+    if i mod 8 = 0 then protocol_total input ~as_request:true;
+    if i mod 4 = 0 then begin
+      let wide = wide_design () in
+      run_one wide;
+      wide_total wide
+    end
   done;
   let elapsed = Unix.gettimeofday () -. t0 in
   Printf.printf

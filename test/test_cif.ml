@@ -242,6 +242,14 @@ let test_stream_lazy_expansion () =
   ignore (Ace_cif.Stream.drain stream);
   check_int "both expanded at the end" 2 (Ace_cif.Stream.expansions stream)
 
+let test_layer_of_index () =
+  (* the stream keeps layers as their index and maps them back at pop *)
+  List.iter
+    (fun l ->
+      check (Layer.to_cif_name l) true (Layer.of_index (Layer.index l) = l))
+    Layer.all;
+  check_int "every layer" Layer.count (List.length Layer.all)
+
 let test_labels_transformed () =
   let d =
     design_of "DS 1; L ND; B 2 2 0 0; 94 A 1 2 ND; DF; C 1 T 10 20; C 1 M X; E"
@@ -415,6 +423,132 @@ let test_mmap_edge_files () =
     | _ -> false
     | exception Sys_error _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Lexer boundaries, through both inputs                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Parse [src] strictly and leniently from a string and from a mapped
+   file; the two inputs must agree on the strict outcome, the lenient AST
+   and the diagnostics.  Returns the string-input results. *)
+let parse_both src =
+  let path = Filename.temp_file "ace_lex" ".cif" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc src);
+      let strict i =
+        match Ace_cif.Parser.parse_input i with
+        | ast -> Ok ast
+        | exception Ace_cif.Parser.Error { position; message } ->
+            Error (position, message)
+      in
+      let of_string = Ace_cif.Parser.input_of_string src in
+      let mapped = Ace_cif.Parser.open_file path in
+      check "input is mapped" true (Ace_cif.Parser.input_is_mapped mapped);
+      let s = strict of_string in
+      check "strict outcome equal" true (s = strict mapped);
+      let ((ast, diags) as lenient) =
+        Ace_cif.Parser.parse_input_lenient of_string
+      in
+      check "lenient AST and diagnostics equal" true
+        (lenient = Ace_cif.Parser.parse_input_lenient mapped);
+      (s, ast, diags))
+
+let box_extents (f : Ace_cif.Ast.file) =
+  List.filter_map
+    (function
+      | Ace_cif.Ast.Shape { shape = Ace_cif.Ast.Box b; _ } ->
+          Some (b.length, b.width, b.center.Point.x, b.center.Point.y)
+      | _ -> None)
+    f.Ace_cif.Ast.top_level
+
+let test_lex_max_int () =
+  match parse_both "L ND; B 4611686018427387903 2 0 0; E" with
+  | Ok f, _, [] ->
+      check "max_int length" true (box_extents f = [ (max_int, 2, 0, 0) ])
+  | _ -> Alcotest.fail "max_int did not parse"
+
+let test_lex_overflow () =
+  List.iter
+    (fun literal ->
+      let src = "L ND; B " ^ literal ^ " 2 0 0; E" in
+      let digit = String.index src '4' in
+      let message =
+        Printf.sprintf "integer literal '%s' out of range" literal
+      in
+      match parse_both src with
+      | Error (pos, m), _, [ d ] ->
+          check_int (literal ^ ": at the first digit") digit pos;
+          Alcotest.(check string) (literal ^ ": message") message m;
+          Alcotest.(check string) "code" "cif-integer-overflow" d.code;
+          check "span" true
+            (d.span = Some { Ace_diag.Diag.start = digit; stop = digit + 1 })
+      | _ -> Alcotest.failf "%s: expected one overflow error" literal)
+    [ "4611686018427387904"; "-4611686018427387904" ]
+
+let test_lex_leading_zeros () =
+  match
+    parse_both
+      "L ND; B 0004 0002 -0006 00; B 000000000000000000004611686018427387903 \
+       1 0 0; E"
+  with
+  | Ok f, _, [] ->
+      check "values" true
+        (box_extents f = [ (4, 2, -6, 0); (max_int, 1, 0, 0) ])
+  | _ -> Alcotest.fail "leading zeros did not parse"
+
+let test_lex_odd_blanks () =
+  let plain = parse "L ND; B 2 2 0 0; E" in
+  match parse_both "L\000ND;\x80B\xff2 2\0000\xc3\xa90;\x7f\x01E" with
+  | Ok f, _, [] -> check "NUL and high bytes are blanks" true (f = plain)
+  | _ -> Alcotest.fail "odd blanks rejected"
+
+let test_lex_comments () =
+  let plain = parse "L ND; B 2 2 0 0; E" in
+  (match parse_both "(a (b (c)) d)L ND;(x(y))B 2 2(z) 0 0;((()))E" with
+  | Ok f, _, [] -> check "nested comments are blanks" true (f = plain)
+  | _ -> Alcotest.fail "nested comments rejected");
+  (* a comment closing on the last byte: the lexer reaches the end *)
+  let src = "L ND; B 2 2 0 0; (tail (nested))" in
+  match parse_both src with
+  | Error (pos, m), ast, [ d ] ->
+      check_int "missing E at the end" (String.length src) pos;
+      Alcotest.(check string) "message" "missing E (end) command" m;
+      Alcotest.(check string) "code" "cif-missing-end" d.code;
+      check "shape kept" true (box_extents ast = [ (2, 2, 0, 0) ])
+  | _ -> Alcotest.fail "expected a missing-E error"
+
+let test_lex_layer_digits () =
+  match parse_both "L N2D; B 2 2 0 0; L 12; B 2 2 0 0; L ND;B 2 2 0 0; E" with
+  | Ok f, _, [] ->
+      check "layer names" true
+        (List.map
+           (function Ace_cif.Ast.Shape { layer; _ } -> layer | _ -> "?")
+           f.Ace_cif.Ast.top_level
+        = [ "N2D"; "12"; "ND" ])
+  | _ -> Alcotest.fail "layer names with digits rejected"
+
+let test_lex_many_layers () =
+  (* far more distinct layer names than a parser would keep interned, each
+     used twice, interleaved with the real ones *)
+  let names = List.init 3000 (fun i -> Printf.sprintf "X%dQ" i) in
+  let src =
+    String.concat ""
+      (List.map
+         (fun n -> Printf.sprintf "L %s; B 2 2 0 0; L ND; B 2 2 0 0; L %s; B 2 2 0 0;" n n)
+         names)
+    ^ "E"
+  in
+  match parse_both src with
+  | Ok f, _, [] ->
+      let expected = List.concat_map (fun n -> [ n; "ND"; n ]) names in
+      check "every layer name" true
+        (List.map
+           (function Ace_cif.Ast.Shape { layer; _ } -> layer | _ -> "?")
+           f.Ace_cif.Ast.top_level
+        = expected)
+  | _ -> Alcotest.fail "many layers rejected"
+
 let () =
   Alcotest.run "cif"
     [
@@ -449,6 +583,8 @@ let () =
           prop_stream_matches_flatten;
           prop_stream_sorted;
           Alcotest.test_case "lazy expansion" `Quick test_stream_lazy_expansion;
+          Alcotest.test_case "layer index round trip" `Quick
+            test_layer_of_index;
         ] );
       ( "stats",
         [
@@ -471,5 +607,20 @@ let () =
           Alcotest.test_case "comments everywhere" `Quick test_comment_everywhere;
           Alcotest.test_case "bare call" `Quick test_call_without_transform;
           Alcotest.test_case "negative coordinates" `Quick test_negative_everything;
+        ] );
+      ( "lexer",
+        [
+          Alcotest.test_case "max_int literal" `Quick test_lex_max_int;
+          Alcotest.test_case "overflow at the first digit" `Quick
+            test_lex_overflow;
+          Alcotest.test_case "leading zeros" `Quick test_lex_leading_zeros;
+          Alcotest.test_case "NUL and high bytes are blanks" `Quick
+            test_lex_odd_blanks;
+          Alcotest.test_case "nested and trailing comments" `Quick
+            test_lex_comments;
+          Alcotest.test_case "layer names with digits" `Quick
+            test_lex_layer_digits;
+          Alcotest.test_case "many distinct layer names" `Quick
+            test_lex_many_layers;
         ] );
     ]

@@ -105,6 +105,72 @@ let test_integer_overflow_regression () =
   let _, diags = lenient src in
   check "lenient code" true (has_code "cif-integer-overflow" diags)
 
+(* Lenient parse through both inputs (a string and a mapped file); the
+   two must agree on the AST and the diagnostics. *)
+let lenient_both src =
+  let path = Filename.temp_file "ace_diag" ".cif" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc src);
+      let r = lenient src in
+      check "mapped input agrees" true
+        (Parser.parse_input_lenient (Parser.open_file path) = r);
+      r)
+
+let test_lexer_boundaries () =
+  (* an overflowing literal is one diagnostic at its first digit, and the
+     parser resumes at the next command *)
+  List.iter
+    (fun literal ->
+      let src = "L ND; B " ^ literal ^ " 2 0 0; B 2 2 0 0; E" in
+      let digit = if literal.[0] = '-' then 9 else 8 in
+      let ast, diags = lenient_both src in
+      check_int (literal ^ ": one diagnostic") 1 (List.length diags);
+      let d = List.hd diags in
+      check_string "code" "cif-integer-overflow" d.code;
+      check "at the first digit" true
+        (d.span = Some { Diag.start = digit; stop = digit + 1 });
+      check_string "message"
+        (Printf.sprintf "integer literal '%s' out of range" literal)
+        d.message;
+      check_int "next box kept" 1 (List.length ast.Ace_cif.Ast.top_level))
+    [ "4611686018427387904"; "-4611686018427387904"; "99999999999999999999" ];
+  (* max_int, leading zeros, NUL and high bytes: no diagnostics *)
+  List.iter
+    (fun src ->
+      let _, diags = lenient_both src in
+      check (String.escaped src ^ ": clean") true (diags = []))
+    [
+      "L ND; B 4611686018427387903 0004 -0 0; E";
+      "L\000ND;\x80B\xff2 2\0000\xc3\xa90;\x7f\x01E";
+      "(a (b) c)L ND;(x(y(z)))B 2 2 0 0;(()) E";
+    ];
+  (* a comment closing on the last byte: the only problem is the missing E *)
+  let src = "L ND; B 2 2 0 0; (tail (nested))" in
+  let _, diags = lenient_both src in
+  check "missing E only" true (codes diags = [ "cif-missing-end" ]);
+  (* layer names with digits survive to the semantic check verbatim, as do
+     many distinct names *)
+  let names = List.init 300 (fun i -> Printf.sprintf "N%dD" i) in
+  let src =
+    String.concat ""
+      (List.map (fun n -> Printf.sprintf "L %s; B 2 2 0 0; L ND; B 2 2 0 0;" n) names)
+    ^ "E"
+  in
+  let ast, pdiags = lenient_both src in
+  check "parse clean" true (pdiags = []);
+  let _, sdiags = Design.of_ast_lenient ~max_errors:1000 ast in
+  check "one unknown-layer diagnostic per name" true
+    (List.map (fun (d : Diag.t) -> d.message) sdiags
+    = List.map
+        (fun n ->
+          Printf.sprintf
+            "top level: unknown layer name %S (NMOS layers are ND NP NC NM NI \
+             NB NG)"
+            n)
+        names)
+
 let test_resync_at_df () =
   (* the error inside the definition must not swallow the DF *)
   let ast, diags = lenient "DS 1; L ND; B 2 2 Q Q; DF; C 1; E" in
@@ -203,6 +269,34 @@ let test_coordinate_overflow_guard () =
   check "warned" true (has_code "sem-coordinate-overflow" diags);
   check_int "dropped" 0 (Design.count_boxes d);
   check "not an error" true (errors diags = [])
+
+(* Coordinates whose arithmetic used to wrap: a DS factor times a length,
+   a scaled centre landing on [min_int] (whose [abs] is negative), and a
+   top-level centre past the range that only the lenient path checked.
+   Strict mode must fail with a parse or semantic error, never an
+   [Invalid_argument] from the geometry; lenient mode must report a stable
+   code and still extract. *)
+let test_coordinate_wraparound () =
+  List.iter
+    (fun (src, code) ->
+      (match Design.of_ast (Parser.parse_string src) with
+      | exception Parser.Error _ -> ()
+      | exception Design.Semantic_error _ -> ()
+      | exception e ->
+          Alcotest.failf "%s: strict raised %s" src (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: strict mode accepted it" src);
+      let d, diags = design_lenient src in
+      check (src ^ ": " ^ code) true (has_code code diags);
+      let circuit = Ace_core.Extractor.extract d in
+      check (src ^ ": extracts") true (Ace_netlist.Circuit.validate circuit = []);
+      check_int (src ^ ": no device") 0
+        (Array.length circuit.Ace_netlist.Circuit.devices))
+    [
+      ( "DS 1 3074457345618258603 1; L ND; B 3 3 0 0; L NP; B 3 3 0 0; DF; C 1; E",
+        "cif-integer-overflow" );
+      ("DS 1 2 1; L ND; B 3 3 2305843009213693952 0; DF; C 1; E", "cif-integer-overflow");
+      ("L ND; B 4 4 4611686018427387902 0; E", "sem-coordinate-overflow");
+    ]
 
 let test_bad_rotation () =
   let _, diags = design_lenient "DS 1; L ND; B 2 2 0 0; DF; C 1 R 1 1; E" in
@@ -375,6 +469,8 @@ let () =
             test_multiple_errors_one_run;
           Alcotest.test_case "integer overflow (regression)" `Quick
             test_integer_overflow_regression;
+          Alcotest.test_case "lexer boundaries, both inputs" `Quick
+            test_lexer_boundaries;
           Alcotest.test_case "resync at DF" `Quick test_resync_at_df;
           Alcotest.test_case "E inside definition" `Quick
             test_end_inside_definition;
@@ -397,6 +493,8 @@ let () =
             test_degenerate_wire_and_flash;
           Alcotest.test_case "coordinate overflow" `Quick
             test_coordinate_overflow_guard;
+          Alcotest.test_case "coordinate wraparound" `Quick
+            test_coordinate_wraparound;
           Alcotest.test_case "bad rotation" `Quick test_bad_rotation;
           Alcotest.test_case "broken.cif extracts" `Quick
             test_lenient_design_extracts;

@@ -5,7 +5,11 @@
     shapes the result (quantum, part name, shard count, format version),
     so a warm hit is byte-identical to the cold computation by
     construction and stale entries are unreachable rather than
-    invalidated.
+    invalidated.  The cache sees only these canonical keys.  The server
+    reaches them through an in-memory memo keyed by a request's raw CIF
+    bytes, so a repeated request finds its entry without parsing or
+    canonicalising (see [Server]); both keys hash their fields with
+    {!fnv1a64_hex_parts}, which never copies the CIF.
 
     On-disk format, one file [<key>.ace] per entry:
 
@@ -37,8 +41,12 @@
 type t
 
 val fnv1a64_hex : string -> string
-(** FNV-1a 64-bit hash, as 16 lowercase hex digits.  Allocates only the
-    result string. *)
+(** FNV-1a 64-bit hash, as 16 lowercase hex digits. *)
+
+val fnv1a64_hex_parts : string list -> string
+(** [fnv1a64_hex_parts parts = fnv1a64_hex (String.concat "\x00" parts)],
+    without building the concatenation: a key over a multi-megabyte CIF
+    costs no copy of it. *)
 
 val format_version : int
 

@@ -33,6 +33,10 @@ let config ?(jobs = 1) ?cache ?(max_request_bytes = 8 * 1024 * 1024)
     gnd;
   }
 
+(* What a raw key resolves to: the canonical cache key and the request's
+   rendered front-end diagnostics. *)
+type memo_entry = { canonical : string; diags : string }
+
 type t = {
   config : config;
   inflight : int Atomic.t;
@@ -43,6 +47,9 @@ type t = {
   started_ns : int64;
   extract_lock : Mutex.t;
   socket_path : string option Atomic.t;
+  memo : (string, memo_entry) Hashtbl.t;
+  memo_lock : Mutex.t;
+  mutable memo_bytes : int;
 }
 
 let create config =
@@ -56,6 +63,9 @@ let create config =
     started_ns = Trace.now_ns ();
     extract_lock = Mutex.create ();
     socket_path = Atomic.make None;
+    memo = Hashtbl.create 64;
+    memo_lock = Mutex.create ();
+    memo_bytes = 0;
   }
 
 let stopping t = Atomic.get t.stop
@@ -123,6 +133,21 @@ let circuit_of_payload payload =
           try Some (Wirelist.of_string wl) with _ -> None)
       | _ -> None)
 
+(* ------------------------------------------------------------------ *)
+(* Cache keys                                                         *)
+
+(* A request reaches its cache entry by two keys over the same fields.
+   The canonical key hashes the writer's rendering of the checked design,
+   so texts of one layout share an entry; it names the file on disk.  The
+   raw key hashes the request's CIF bytes as sent and is only looked up
+   in [t.memo], which maps it to the canonical key and the rendered
+   front-end diagnostics: a warm hit on bytes seen before neither parses
+   nor canonicalises.  The memo stays in memory because its diagnostics
+   come from this build's front end; a restarted daemon reaches its
+   persisted entries through the canonical key, once per distinct text. *)
+
+type family = Circuit | Lvs
+
 (* The tile grid is part of the key: the wirelist is grid-invariant,
    but the cached payload also carries the warnings, whose shard framing
    ("shard i/n: ...") depends on the grid. *)
@@ -130,60 +155,142 @@ let tile_tag = function
   | None -> "-"
   | Some (c, r) -> Printf.sprintf "%dx%d" c r
 
-let cache_key design ~name ~jobs ~tile =
-  let canonical = Ace_cif.Writer.to_string (Ace_cif.Design.ast design) in
-  Cache.fnv1a64_hex
-    (String.concat "\x00"
-       [
-         string_of_int Cache.format_version;
-         string_of_int (Ace_cif.Design.quantum design);
-         name;
-         string_of_int jobs;
-         tile_tag tile;
-         canonical;
-       ])
+let circuit_fields ~name ~jobs ~tile =
+  [ name; string_of_int jobs; tile_tag tile ]
 
-(* (payload, cached?).  Cache misses — including quarantined corrupt
-   entries — fall through to a recomputation that heals the cache. *)
-let obtain_payload t ~cancel ~use_cache ~jobs ~tile ~name design =
-  let cache = if use_cache then t.config.cache else None in
-  let key = Option.map (fun _ -> cache_key design ~name ~jobs ~tile) cache in
-  let hit =
-    match (cache, key) with
-    | Some c, Some k -> Cache.find c k
-    | _ -> None
+let canonical_key family fields design canonical =
+  Cache.fnv1a64_hex_parts
+    ((match family with Circuit -> [] | Lvs -> [ "lvs" ])
+    @ string_of_int Cache.format_version
+      :: string_of_int (Ace_cif.Design.quantum design)
+      :: fields
+    @ [ canonical ])
+
+let raw_key family fields cif =
+  Cache.fnv1a64_hex_parts
+    (((match family with Circuit -> "raw" | Lvs -> "raw-lvs") :: fields)
+    @ [ cif ])
+
+let memo_budget_bytes = 1 lsl 20
+
+(* The three strings plus about a dozen words of table cell, record and
+   string headers. *)
+let memo_entry_bytes raw m =
+  String.length raw + String.length m.canonical + String.length m.diags + 96
+
+let memo_find t raw =
+  Mutex.protect t.memo_lock (fun () -> Hashtbl.find_opt t.memo raw)
+
+(* Past the budget the memo starts over: its entries are cheap to
+   rebuild, one parse per distinct text. *)
+let memo_add t raw m =
+  let n = memo_entry_bytes raw m in
+  if n <= memo_budget_bytes then
+    Mutex.protect t.memo_lock @@ fun () ->
+    Option.iter
+      (fun old -> t.memo_bytes <- t.memo_bytes - memo_entry_bytes raw old)
+      (Hashtbl.find_opt t.memo raw);
+    if t.memo_bytes + n > memo_budget_bytes then begin
+      Hashtbl.reset t.memo;
+      t.memo_bytes <- 0
+    end;
+    Hashtbl.replace t.memo raw m;
+    t.memo_bytes <- t.memo_bytes + n
+
+(* ------------------------------------------------------------------ *)
+(* Cached computations                                                *)
+
+(* A request's CIF and, built on first use, its checked design with the
+   rendered front-end diagnostics, and its canonical text.  One request
+   may look up two entries (flat LVS and the circuit under it); both
+   share one parse and one rendering. *)
+type front = {
+  cif : string;
+  checked : (Ace_cif.Design.t * string) Lazy.t;
+  canonical_text : string Lazy.t;
+}
+
+let front_of_cif cif =
+  let checked =
+    lazy
+      (let ast, pdiags = Ace_cif.Parser.parse_string_lenient cif in
+       let design, sdiags = Ace_cif.Design.of_ast_lenient ast in
+       (design, diags_json (pdiags @ sdiags)))
   in
-  match hit with
-  | Some payload -> (payload, true)
+  let canonical_text =
+    lazy
+      (Ace_cif.Writer.to_string (Ace_cif.Design.ast (fst (Lazy.force checked))))
+  in
+  { cif; checked; canonical_text }
+
+(* [cached t ~use_cache family fields front ~of_payload ~compute] is
+   (value, cached?, diags).  A warm hit costs one hash over the CIF, a
+   memo lookup and the cache read.  Otherwise the request parses, keys by
+   the canonical text and looks up again, so a different text of a known
+   layout still hits.  Misses, including entries evicted, quarantined or
+   unreadable by [of_payload] since the memo saw them, run [compute] and
+   store the payload it returns, which heals the cache.  Without a cache
+   no key is hashed and the memo is left alone. *)
+let cached t ~use_cache family fields front ~of_payload ~compute =
+  match if use_cache then t.config.cache else None with
   | None ->
+      let design, diags = Lazy.force front.checked in
+      (fst (compute design), false, diags)
+  | Some c -> (
+      let raw = raw_key family fields front.cif in
+      let memo = memo_find t raw in
+      let hit m =
+        Option.map
+          (fun v -> (v, m))
+          (Option.bind (Cache.find c m.canonical) of_payload)
+      in
+      match Option.bind memo hit with
+      | Some (v, m) -> (v, true, m.diags)
+      | None ->
+          let design, diags = Lazy.force front.checked in
+          let key, found =
+            match memo with
+            | Some m -> (m.canonical, None)
+            | None ->
+                let k =
+                  canonical_key family fields design
+                    (Lazy.force front.canonical_text)
+                in
+                (k, Option.bind (Cache.find c k) of_payload)
+          in
+          let v, cached =
+            match found with
+            | Some v -> (v, true)
+            | None ->
+                let v, payload = compute design in
+                Option.iter (fun p -> Cache.store c key (Lazy.force p)) payload;
+                (v, false)
+          in
+          memo_add t raw { canonical = key; diags };
+          (v, cached, diags))
+
+(* extract, lint and flow share one entry: [extract] replies with the
+   payload, the others (and a flat lvs compare) read the circuit back out
+   of it.  Every miss stores the payload [extract] would store. *)
+let circuit_lookup t ~cancel ~use_cache ~jobs ~tile ~name front ~of_payload
+    ~value =
+  cached t ~use_cache Circuit
+    (circuit_fields ~name ~jobs ~tile)
+    front ~of_payload
+    ~compute:(fun design ->
       let circuit, stats = run_extract t ~cancel ~jobs ~tile ~name design in
-      let payload = payload_of_circuit circuit stats.Parallel.warnings in
-      (match (cache, key) with
-      | Some c, Some k -> Cache.store c k payload
-      | _ -> ());
-      (payload, false)
+      let payload = lazy (payload_of_circuit circuit stats.Parallel.warnings) in
+      (value circuit payload, Some payload))
 
-(* Like [obtain_payload] but materializes the circuit (lint/flow).  A
-   warm payload round-trips through the wirelist reader; the reader
+let obtain_payload t ~cancel ~use_cache ~jobs ~tile ~name front =
+  circuit_lookup t ~cancel ~use_cache ~jobs ~tile ~name front
+    ~of_payload:Option.some ~value:(fun _ p -> Lazy.force p)
+
+(* A warm payload round-trips through the wirelist reader; the reader
    failing on our own checksummed output degrades to a recompute. *)
-let obtain_circuit t ~cancel ~use_cache ~jobs ~tile ~name design =
-  let cache = if use_cache then t.config.cache else None in
-  let key = Option.map (fun _ -> cache_key design ~name ~jobs ~tile) cache in
-  let hit =
-    match (cache, key) with
-    | Some c, Some k -> Option.bind (Cache.find c k) circuit_of_payload
-    | _ -> None
-  in
-  match hit with
-  | Some circuit -> (circuit, true)
-  | None ->
-      let circuit, _ = run_extract t ~cancel ~jobs ~tile ~name design in
-      (circuit, false)
-
-let front_end cif =
-  let ast, pdiags = Ace_cif.Parser.parse_string_lenient cif in
-  let design, sdiags = Ace_cif.Design.of_ast_lenient ast in
-  (design, pdiags @ sdiags)
+let obtain_circuit t ~cancel ~use_cache ~jobs ~tile ~name front =
+  circuit_lookup t ~cancel ~use_cache ~jobs ~tile ~name front
+    ~of_payload:circuit_of_payload ~value:(fun c _ -> c)
 
 let request_params t (r : Proto.request) =
   let jobs =
@@ -206,26 +313,20 @@ let request_params t (r : Proto.request) =
   in
   (jobs, r.Proto.tile, cancel)
 
-let do_extract t (r : Proto.request) cif =
+let do_extract t (r : Proto.request) front =
   let jobs, tile, cancel = request_params t r in
-  let design, diags = front_end cif in
-  let payload, cached =
+  let payload, cached, diags =
     obtain_payload t ~cancel ~use_cache:r.Proto.use_cache ~jobs ~tile
-      ~name:r.Proto.name design
+      ~name:r.Proto.name front
   in
   Proto.ok ~id:r.Proto.id ~op:"extract"
-    [
-      ("cached", Proto.bool cached);
-      ("result", payload);
-      ("diags", diags_json diags);
-    ]
+    [ ("cached", Proto.bool cached); ("result", payload); ("diags", diags) ]
 
-let do_lint t (r : Proto.request) cif =
+let do_lint t (r : Proto.request) front =
   let jobs, tile, cancel = request_params t r in
-  let design, diags = front_end cif in
-  let circuit, cached =
+  let circuit, cached, diags =
     obtain_circuit t ~cancel ~use_cache:r.Proto.use_cache ~jobs ~tile
-      ~name:r.Proto.name design
+      ~name:r.Proto.name front
   in
   let vdd = Option.value r.Proto.vdd ~default:t.config.vdd in
   let gnd = Option.value r.Proto.gnd ~default:t.config.gnd in
@@ -248,15 +349,14 @@ let do_lint t (r : Proto.request) cif =
       ("errors", Proto.int errors);
       ("warnings", Proto.int warnings);
       ("infos", Proto.int infos);
-      ("diags", diags_json diags);
+      ("diags", diags);
     ]
 
-let do_flow t (r : Proto.request) cif =
+let do_flow t (r : Proto.request) front =
   let jobs, tile, cancel = request_params t r in
-  let design, diags = front_end cif in
-  let circuit, cached =
+  let circuit, cached, diags =
     obtain_circuit t ~cancel ~use_cache:r.Proto.use_cache ~jobs ~tile
-      ~name:r.Proto.name design
+      ~name:r.Proto.name front
   in
   let vdd_name = Option.value r.Proto.vdd ~default:t.config.vdd in
   let gnd_name = Option.value r.Proto.gnd ~default:t.config.gnd in
@@ -289,37 +389,17 @@ let do_flow t (r : Proto.request) cif =
           ("x_nets", Proto.int (List.length v.Ace_flow.Ternary.x_nets));
           ( "converged",
             Proto.bool v.Ace_flow.Ternary.stats.Ace_flow.Solver.converged );
-          ("diags", diags_json diags);
+          ("diags", diags);
         ]
 
 (* LVS replies are cached whole, like extract payloads, under a key that
    also covers the reference text and the rail names — anything that can
    change the verdict.  The finding diagnostics are rendered with
    Diag.to_json, the exact lines `acelvs --diag-format=json` prints, so
-   clients can diff daemon replies against one-shot runs byte for byte. *)
-let lvs_cache_key design ~name ~jobs ~tile ~reference ~vdd ~gnd ~hier
-    ~ref_format ~max_findings =
-  let canonical = Ace_cif.Writer.to_string (Ace_cif.Design.ast design) in
-  Cache.fnv1a64_hex
-    (String.concat "\x00"
-       [
-         "lvs";
-         string_of_int Cache.format_version;
-         string_of_int (Ace_cif.Design.quantum design);
-         name;
-         string_of_int jobs;
-         tile_tag tile;
-         vdd;
-         gnd;
-         string_of_bool hier;
-         ref_format;
-         string_of_int max_findings;
-         reference;
-         canonical;
-       ])
-
-let lvs_payload t ~cancel ~use_cache ~jobs ~tile ~name ~vdd ~gnd ~hier
-    ~ref_format ~max_findings design reference_text =
+   clients can diff daemon replies against one-shot runs byte for byte.
+   [layout ()] is the flat compare's extracted circuit. *)
+let lvs_payload ~cancel ~vdd ~gnd ~hier ~ref_format ~max_findings ~layout
+    design reference_text =
   let loaded =
     match ref_format with
     | "verilog" ->
@@ -352,14 +432,10 @@ let lvs_payload t ~cancel ~use_cache ~jobs ~tile ~name ~vdd ~gnd ~hier
           in
           (hr.Ace_lvs.Hier.r, Some hr)
         end
-        else begin
-          let circuit, _ =
-            obtain_circuit t ~cancel ~use_cache ~jobs ~tile ~name design
-          in
-          ( Ace_lvs.Match.run ~cancel ~vdd ~gnd ~max_findings ~layout:circuit
-              ~reference (),
+        else
+          ( Ace_lvs.Match.run ~cancel ~vdd ~gnd ~max_findings
+              ~layout:(layout ()) ~reference (),
             None )
-        end
       in
       let verdict =
         match r.Ace_lvs.Match.outcome with
@@ -400,14 +476,13 @@ let lvs_payload t ~cancel ~use_cache ~jobs ~tile ~name ~vdd ~gnd ~hier
              | None -> [])
            @ [ ("ref_diags", diags_json ref_diags) ]))
 
-let do_lvs t (r : Proto.request) cif =
+let do_lvs t (r : Proto.request) front =
   match r.Proto.reference with
   | None ->
       Proto.error ~id:r.Proto.id ~code:Proto.err_bad_request
         "missing field \"ref\""
   | Some reference_text -> (
       let jobs, tile, cancel = request_params t r in
-      let design, diags = front_end cif in
       let vdd = Option.value r.Proto.vdd ~default:t.config.vdd in
       let gnd = Option.value r.Proto.gnd ~default:t.config.gnd in
       let hier = r.Proto.hier in
@@ -420,45 +495,44 @@ let do_lvs t (r : Proto.request) cif =
         Proto.error ~id:r.Proto.id ~code:Proto.err_bad_request
           "field \"max_findings\" must be non-negative"
       else
-      let cache = if r.Proto.use_cache then t.config.cache else None in
-      let key =
-        Option.map
-          (fun _ ->
-            lvs_cache_key design ~name:r.Proto.name ~jobs ~tile
-              ~reference:reference_text ~vdd ~gnd ~hier ~ref_format
-              ~max_findings)
-          cache
+      let use_cache = r.Proto.use_cache and name = r.Proto.name in
+      let layout () =
+        let circuit, _, _ =
+          obtain_circuit t ~cancel ~use_cache ~jobs ~tile ~name front
+        in
+        circuit
       in
-      let hit =
-        match (cache, key) with
-        | Some c, Some k -> Cache.find c k
-        | _ -> None
+      let fields =
+        circuit_fields ~name ~jobs ~tile
+        @ [
+            vdd;
+            gnd;
+            string_of_bool hier;
+            ref_format;
+            string_of_int max_findings;
+            reference_text;
+          ]
       in
-      let computed =
-        match hit with
-        | Some payload -> Ok (payload, true)
-        | None -> (
+      let computed, cached, diags =
+        cached t ~use_cache Lvs fields front
+          ~of_payload:(fun p -> Some (Ok p))
+          ~compute:(fun design ->
             match
-              lvs_payload t ~cancel ~use_cache:r.Proto.use_cache ~jobs ~tile
-                ~name:r.Proto.name ~vdd ~gnd ~hier ~ref_format ~max_findings
-                design reference_text
+              lvs_payload ~cancel ~vdd ~gnd ~hier ~ref_format ~max_findings
+                ~layout design reference_text
             with
-            | Error msg -> Error msg
-            | Ok payload ->
-                (match (cache, key) with
-                | Some c, Some k -> Cache.store c k payload
-                | _ -> ());
-                Ok (payload, false))
+            | Ok p -> (Ok p, Some (Lazy.from_val p))
+            | Error _ as e -> (e, None))
       in
       match computed with
       | Error msg ->
           Proto.error ~id:r.Proto.id ~code:Proto.err_bad_request msg
-      | Ok (payload, cached) ->
+      | Ok payload ->
           Proto.ok ~id:r.Proto.id ~op:"lvs"
             [
               ("cached", Proto.bool cached);
               ("result", payload);
-              ("diags", diags_json diags);
+              ("diags", diags);
             ])
 
 (* ------------------------------------------------------------------ *)
@@ -548,7 +622,7 @@ let compute t (r : Proto.request) f =
   | None ->
       Proto.error ~id:r.Proto.id ~code:Proto.err_bad_request
         "missing field \"cif\""
-  | Some cif -> f t r cif
+  | Some cif -> f t r (front_of_cif cif)
 
 let handle_request t (r : Proto.request) =
   match r.Proto.op with
@@ -597,28 +671,72 @@ let handle_line t line =
 
 type line_in = Line of string | Too_long | Eof
 
+(* A connection's input: one chunk read with [input], scanned for
+   newlines, and the line assembled so far. *)
+type reader = {
+  ic : in_channel;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  line : Buffer.t;
+}
+
+let chunk_bytes = 65536
+
+let reader ic =
+  {
+    ic;
+    chunk = Bytes.create chunk_bytes;
+    pos = 0;
+    len = 0;
+    line = Buffer.create 256;
+  }
+
+let rec newline_at r i =
+  if i >= r.len then -1
+  else if Bytes.unsafe_get r.chunk i = '\n' then i
+  else newline_at r (i + 1)
+
 (* Bounded line reader: a line longer than [limit] is drained to its
    newline without being buffered, so a hostile client cannot balloon
-   the daemon's memory. *)
-let read_line_bounded ic limit =
-  let b = Buffer.create 256 in
+   the daemon's memory.  A last line without a newline is still a line.
+   [n] counts the line's bytes so far, [limit] of them at most kept. *)
+let read_line_bounded r limit =
+  (* [reset], not [clear]: the buffer of one large request is not kept
+     for the rest of the connection. *)
+  Buffer.reset r.line;
+  let finish n =
+    if n > limit then Too_long else Line (Buffer.contents r.line)
+  in
   let rec go n =
-    match input_char ic with
-    | exception End_of_file ->
-        if n = 0 then Eof
-        else if n > limit then Too_long
-        else Line (Buffer.contents b)
-    | '\n' -> if n > limit then Too_long else Line (Buffer.contents b)
-    | c ->
-        if n < limit then Buffer.add_char b c;
-        go (n + 1)
+    if r.pos >= r.len then begin
+      r.pos <- 0;
+      r.len <- input r.ic r.chunk 0 chunk_bytes;
+      if r.len > 0 then go n else if n = 0 then Eof else finish n
+    end
+    else begin
+      let nl = newline_at r r.pos in
+      let stop = if nl < 0 then r.len else nl in
+      let run = stop - r.pos in
+      Buffer.add_subbytes r.line r.chunk r.pos (max 0 (min run (limit - n)));
+      let n = n + run in
+      if nl < 0 then begin
+        r.pos <- r.len;
+        go n
+      end
+      else begin
+        r.pos <- nl + 1;
+        finish n
+      end
+    end
   in
   go 0
 
 let serve_channel t ic oc =
+  let r = reader ic in
   let rec loop () =
     if not (stopping t) then
-      match read_line_bounded ic t.config.max_request_bytes with
+      match read_line_bounded r t.config.max_request_bytes with
       | Eof -> ()
       | Too_long ->
           output_string oc (too_large t);

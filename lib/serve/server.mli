@@ -25,9 +25,19 @@
       shard domain and re-raised at the parallel join — yields an
       ["internal-error"] reply with a stable exception fingerprint;
       the daemon keeps serving.
-    - {b persistence}: extract results are cached content-addressed in
-      a {!Cache}; a warm reply's [result] field is the cached payload
-      spliced verbatim, so it is byte-identical to the cold reply. *)
+    - {b persistence}: results of [extract], [lint], [flow] and [lvs]
+      are cached content-addressed in a {!Cache} ([extract], [lint] and
+      [flow] share one entry per layout); a warm reply's [result] field
+      is the cached payload spliced verbatim, so it is byte-identical to
+      the cold reply.  A request is keyed by its raw CIF bytes first: an
+      in-memory memo maps that key to the canonical cache key and the
+      rendered front-end diagnostics, so repeating a request's bytes
+      neither parses nor canonicalises its CIF.  On a memo miss the
+      request is parsed and keyed by its canonical CIF, which lets
+      different texts of one layout share an entry.  The memo is bounded
+      by {!memo_budget_bytes} and starts over when full; it is not
+      persisted, so a restarted daemon replays no diagnostics from an
+      older build. *)
 
 type config = {
   jobs : int;  (** default and maximum shards per request *)
@@ -60,6 +70,12 @@ type t
 
 val create : config -> t
 
+val memo_budget_bytes : int
+(** The raw-key memo's byte budget, a constant.  An entry costs its
+    three strings (raw key, canonical key, diagnostics JSON) plus a fixed
+    overhead; an entry whose diagnostics alone exceed the budget is not
+    kept. *)
+
 val stopping : t -> bool
 (** True once a [shutdown] request has been accepted. *)
 
@@ -68,9 +84,10 @@ val handle_line : t -> string -> string
     Total: never raises. *)
 
 val serve_channel : t -> in_channel -> out_channel -> unit
-(** Serve until EOF or shutdown.  Lines longer than
-    [max_request_bytes] are drained without buffering and answered
-    with ["request-too-large"]. *)
+(** Serve until EOF or shutdown, one reply per line, in order.  Input is
+    read in 64 KiB chunks.  Lines longer than [max_request_bytes] are
+    drained without buffering and answered with ["request-too-large"];
+    a last line without a newline is still a line. *)
 
 val serve_once : t -> unit
 (** [serve_channel] over stdin/stdout. *)

@@ -55,12 +55,26 @@ let utf8_of_code b code =
     Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
   end
 
+(* Runs between escapes are copied whole: request CIF and cached
+   wirelists are megabytes of plain text with an escape per line. *)
 let parse_string st =
   expect st '"';
+  let src = st.src in
+  let n = String.length src in
   let b = Buffer.create 16 in
   let rec loop () =
-    if st.pos >= String.length st.src then fail st "unterminated string";
-    let c = st.src.[st.pos] in
+    let start = st.pos in
+    while
+      st.pos < n
+      &&
+      let c = String.unsafe_get src st.pos in
+      c <> '"' && c <> '\\' && Char.code c >= 0x20
+    do
+      st.pos <- st.pos + 1
+    done;
+    Buffer.add_substring b src start (st.pos - start);
+    if st.pos >= n then fail st "unterminated string";
+    let c = src.[st.pos] in
     st.pos <- st.pos + 1;
     match c with
     | '"' -> Buffer.contents b
@@ -88,10 +102,7 @@ let parse_string st =
              utf8_of_code b code
          | _ -> fail st "bad escape");
         loop ()
-    | c when Char.code c < 0x20 -> fail st "control character in string"
-    | c ->
-        Buffer.add_char b c;
-        loop ()
+    | _ -> fail st "control character in string"
   in
   loop ()
 

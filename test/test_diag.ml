@@ -438,6 +438,142 @@ let test_render_edges () =
          ("b\001", Proto.obj []);
        ])
 
+(* The per-character string decoder [Json] used before it copied runs
+   between escapes: the oracle for decoded values and for error messages
+   with their byte positions.  It reads a document holding one string
+   literal, as [Json.parse] does. *)
+exception Oracle_error of string
+
+let decode_per_char src =
+  let n = String.length src in
+  let pos = ref 0 in
+  let fail msg =
+    raise (Oracle_error (Printf.sprintf "%s at byte %d" msg !pos))
+  in
+  let b = Buffer.create 16 in
+  let utf8_of_code code =
+    if code < 0x80 then Buffer.add_char b (Char.chr code)
+    else if code < 0x800 then begin
+      Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+    end
+    else begin
+      Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+    end
+  in
+  let rec loop () =
+    if !pos >= n then fail "unterminated string";
+    let c = src.[!pos] in
+    incr pos;
+    match c with
+    | '"' -> Buffer.contents b
+    | '\\' ->
+        (if !pos >= n then fail "unterminated escape";
+         let e = src.[!pos] in
+         incr pos;
+         match e with
+         | '"' -> Buffer.add_char b '"'
+         | '\\' -> Buffer.add_char b '\\'
+         | '/' -> Buffer.add_char b '/'
+         | 'b' -> Buffer.add_char b '\b'
+         | 'f' -> Buffer.add_char b '\012'
+         | 'n' -> Buffer.add_char b '\n'
+         | 'r' -> Buffer.add_char b '\r'
+         | 't' -> Buffer.add_char b '\t'
+         | 'u' ->
+             if !pos + 4 > n then fail "short \\u";
+             let hex = String.sub src !pos 4 in
+             pos := !pos + 4;
+             let code =
+               try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
+             in
+             utf8_of_code code
+         | _ -> fail "bad escape");
+        loop ()
+    | c when Char.code c < 0x20 -> fail "control character in string"
+    | c ->
+        Buffer.add_char b c;
+        loop ()
+  in
+  match
+    if n = 0 || src.[0] <> '"' then fail "expected '\"'";
+    incr pos;
+    loop ()
+  with
+  | s ->
+      while !pos < n && String.contains " \t\n\r" src.[!pos] do
+        incr pos
+      done;
+      if !pos <> n then Error "trailing garbage" else Ok s
+  | exception Oracle_error msg -> Error msg
+
+let decode_runs src =
+  match Ace_trace.Json.parse src with
+  | Ok (Ace_trace.Json.Str s) -> Ok s
+  | Ok _ -> Error "not a string"
+  | Error msg -> Error msg
+
+let show = function Ok s -> "Ok " ^ String.escaped s | Error m -> "Error " ^ m
+
+let test_decode_cases () =
+  let big = String.make 1_000_000 'x' in
+  List.iter
+    (fun src ->
+      let name =
+        if String.length src > 40 then
+          String.escaped (String.sub src 0 40) ^ "..."
+        else String.escaped src
+      in
+      Alcotest.(check string)
+        name
+        (show (decode_per_char src))
+        (show (decode_runs src)))
+    [
+      {|"\" \\ \/ \b \f \n \r \t"|};
+      {|"\u0041\u00e9\u20ac"|};
+      {|"a\u0041b\u00E9c\u20ACd"|};
+      "\"raw\001control\"";
+      "\"tab\there\"";
+      "\"new\nline\"";
+      "\"\031\"";
+      {|"unterminated|};
+      {|"|};
+      {|"unterminated escape\|};
+      {|"short \u12"|};
+      {|"short \u12|};
+      {|"\u|};
+      {|"bad \uzzzz"|};
+      {|"bad \u-123"|};
+      {|"underscored \u_123"|};
+      {|"bad \q escape"|};
+      {|""|};
+      {|"" |};
+      {|"a" x|};
+      "\"caf\xc3\xa9 \xe2\x82\xac\"";
+      "\"\\n" ^ big ^ "\\t\"";
+      "\"\\\"" ^ big ^ "\\u20ac" ^ big ^ "\\\\\"";
+      "\"" ^ big ^ "\\";
+    ]
+
+(* Random literals over the fragments the decoder branches on. *)
+let gen_json_literal =
+  let open QCheck2.Gen in
+  let fragment =
+    oneofl
+      [
+        "a"; "plain text "; "\""; "\\"; "\\\""; "\\\\"; "\\/"; "\\b"; "\\f";
+        "\\n"; "\\r"; "\\t"; "\\u0041"; "\\u00e9"; "\\u20ac"; "\\u12";
+        "\\uzz"; "\\q"; "\001"; "\n"; "\xc3\xa9"; " ";
+      ]
+  in
+  map
+    (fun fs -> "\"" ^ String.concat "" fs)
+    (list_size (int_range 0 30) fragment)
+
+let prop_decode_matches_oracle src = decode_per_char src = decode_runs src
+
 let () =
   Alcotest.run "diag"
     [
@@ -452,6 +588,10 @@ let () =
             QCheck2.Gen.(small_list (pair gen_json_text gen_json_text))
             prop_arr_obj_unchanged;
           Alcotest.test_case "render edge cases" `Quick test_render_edges;
+          Alcotest.test_case "string decoder cases match per-char oracle"
+            `Quick test_decode_cases;
+          Tutil.qtest ~count:1000 "string decoder matches per-char oracle"
+            gen_json_literal prop_decode_matches_oracle;
         ] );
       ( "diag",
         [

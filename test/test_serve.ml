@@ -20,7 +20,15 @@
      connection (no head-of-line blocking on the daemon's one domain);
    - sustained overload yields structured overloaded rejections;
    - oversized request lines are drained and rejected without ballooning
-     memory, and the connection stays usable.
+     memory, and the connection stays usable;
+   - every compute op (extract, lint, flow, flat and hierarchical lvs)
+     answers a repeated request from the raw-byte memo with the cold
+     reply's bytes, a commented variant of the same layout from the
+     canonical entry, and a stale, corrupt or evicted memo target by
+     recomputing.
+
+   The chunked request reader is driven in-process through
+   [Server.serve_channel] on scripted inputs.
 
    The crash-safe cache and the fault-spec parser also get direct
    in-process unit coverage (eviction order needs planted mtimes,
@@ -956,7 +964,25 @@ let test_fnv_vectors () =
   let h = Serve.Cache.fnv1a64_hex in
   check_s "fnv1a64: empty string" (h "") "cbf29ce484222325";
   check_s "fnv1a64: \"a\"" (h "a") "af63dc4c8601ec8c";
-  check_s "fnv1a64: \"foobar\"" (h "foobar") "85944171f73967e8"
+  check_s "fnv1a64: \"foobar\"" (h "foobar") "85944171f73967e8";
+  (* keys hash their fields as parts; the value must stay the hash of
+     the \x00-joined fields that named existing cache files *)
+  List.iteri
+    (fun k parts ->
+      check_s
+        (Printf.sprintf
+           "fnv1a64 parts = hash of the joined parts (%d parts, case %d)"
+           (List.length parts) k)
+        (Serve.Cache.fnv1a64_hex_parts parts)
+        (h (String.concat "\x00" parts)))
+    [
+      [];
+      [ "" ];
+      [ ""; "" ];
+      [ "foo"; "bar" ];
+      [ "a\x00b"; ""; "c" ];
+      [ "1"; "0"; "chip"; "1"; "-"; inverter_cif ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* 11b. No head-of-line blocking: warm hits run beside a cold request *)
@@ -1081,6 +1107,323 @@ let test_cache_gc_cli () =
   | Error m -> check ("cache gc: JSON output: " ^ m) false
 
 (* ------------------------------------------------------------------ *)
+(* 15. lint and flow warm the cache they share with extract           *)
+
+let op_req ?(id = 1) ?(name = "chip") ?(cache = true) ?(extra = []) op cif =
+  Serve.Proto.obj
+    ([
+       ("id", Serve.Proto.int id);
+       ("op", Serve.Proto.str op);
+       ("name", Serve.Proto.str name);
+       ("cif", Serve.Proto.str cif);
+     ]
+    @ extra
+    @ if cache then [] else [ ("cache", "false") ])
+
+let cached_flag reply = jbool (jget (jparse reply) "cached")
+
+let test_circuit_ops_store () =
+  let chain = data_file "chain4.cif" in
+  let once_in dir lines = run_once ~args:[ "--cache-dir"; dir ] lines in
+  (match
+     once_in (scratch ())
+       [ op_req ~id:1 "flow" chain; op_req ~id:2 "flow" chain ]
+   with
+  | [ f1; f2 ] ->
+      check "flow miss: not cached" (not (cached_flag f1));
+      check "flow: second identical request is a cache hit" (cached_flag f2)
+  | _ -> check "flow: two replies" false);
+  match
+    ( once_in (scratch ())
+        [ op_req ~id:1 "lint" chain; op_req ~id:2 "extract" chain ],
+      once_in (scratch ()) [ op_req ~id:1 "extract" chain ] )
+  with
+  | [ lint; after_lint ], [ cold ] ->
+      check "lint miss: ok, not cached"
+        (jbool (jget (jparse lint) "ok") && not (cached_flag lint));
+      check "extract after lint: cached" (cached_flag after_lint);
+      check_s "extract after lint: result bytes = a cold extract's"
+        (result_fragment after_lint) (result_fragment cold)
+  | _ -> check "lint then extract: replies" false
+
+(* ------------------------------------------------------------------ *)
+(* 16. Raw-byte keys: warm hits without re-parsing                    *)
+
+let find_from s sub from =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then None
+    else if String.sub s i n = sub then Some i
+    else go (i + 1)
+  in
+  go from
+
+(* A reply with its id and cached flag blanked: what a warm reply must
+   share with the cold one. *)
+let strip_id_cached reply =
+  let body =
+    match find_from reply ",\"ok\":" 0 with
+    | Some i -> String.sub reply i (String.length reply - i)
+    | None -> reply
+  in
+  List.fold_left
+    (fun b flag ->
+      match find_from b flag 0 with
+      | Some i ->
+          String.sub b 0 i ^ "\"cached\":_"
+          ^ String.sub b (i + String.length flag)
+              (String.length b - i - String.length flag)
+      | None -> b)
+    body
+    [ "\"cached\":true"; "\"cached\":false" ]
+
+(* Every compute reply ends with its front-end diagnostics. *)
+let split_diags reply =
+  let marker = ",\"diags\":" in
+  let rec last i acc =
+    match find_from reply marker i with
+    | Some j -> last (j + 1) (Some j)
+    | None -> acc
+  in
+  match last 0 None with
+  | Some j ->
+      (String.sub reply 0 j, String.sub reply j (String.length reply - j))
+  | None -> (reply, "")
+
+(* chain4 with a bad command and an unknown layer in front: the lenient
+   front end reports both, and the rails that flow needs are intact. *)
+let noisy_chain = "Q 1 2;\nL ZZ;\nB 4 4 0 0;\n" ^ data_file "chain4.cif"
+
+(* The same layout in a different text: comments and blank lines. *)
+let commented cif =
+  "(the same layout);\n\n"
+  ^ String.concat ";\n\n(between commands);\n" (String.split_on_char ';' cif)
+
+(* One request per op, each under its own part name so each starts cold. *)
+let raw_ops =
+  let chain_sp = data_file "chain4.sp" in
+  [
+    ( "extract",
+      fun ~id ~cache cif -> op_req ~id ~cache ~name:"x" "extract" cif );
+    ("lint", fun ~id ~cache cif -> op_req ~id ~cache ~name:"l" "lint" cif);
+    ("flow", fun ~id ~cache cif -> op_req ~id ~cache ~name:"f" "flow" cif);
+    ( "lvs",
+      fun ~id ~cache cif ->
+        op_req ~id ~cache ~name:"v"
+          ~extra:[ ("ref", Serve.Proto.str chain_sp) ]
+          "lvs" cif );
+    ( "hier lvs",
+      fun ~id ~cache cif ->
+        op_req ~id ~cache ~name:"h"
+          ~extra:[ ("ref", Serve.Proto.str chain_sp); ("hier", "true") ]
+          "lvs" cif );
+  ]
+
+let with_socket_daemon f =
+  let dir = scratch () in
+  let sock = Filename.concat dir "s.sock" in
+  let cache_dir = Filename.concat dir "cache" in
+  let pid = start_socket_daemon [ "--cache-dir"; cache_dir ] sock in
+  let conn = connect sock in
+  Fun.protect
+    ~finally:(fun () ->
+      close_conn conn;
+      shutdown_daemon pid sock)
+    (fun () -> f conn cache_dir)
+
+let test_raw_warm_replies () =
+  with_socket_daemon @@ fun conn _ ->
+  List.iter
+    (fun (op, req) ->
+      let cold = rpc conn (req ~id:1 ~cache:true noisy_chain) in
+      let warm = rpc conn (req ~id:2 ~cache:true noisy_chain) in
+      check (op ^ ": cold ok, not cached")
+        (jbool (jget (jparse cold) "ok") && not (cached_flag cold));
+      check (op ^ ": diags not empty")
+        (snd (split_diags cold) <> ",\"diags\":[]}");
+      check (op ^ ": warm repeat cached") (cached_flag warm);
+      check_s (op ^ ": warm repeat = cold reply but id and cached")
+        (strip_id_cached warm) (strip_id_cached cold);
+      (* a different text of the same layout misses the raw key and hits
+         the canonical one; its diagnostics are its own *)
+      let variant = commented noisy_chain in
+      let v = rpc conn (req ~id:3 ~cache:true variant) in
+      let fresh =
+        List.hd
+          (run_once
+             ~args:[ "--cache-dir"; scratch () ]
+             [ req ~id:3 ~cache:true variant ])
+      in
+      check (op ^ ": commented variant cached") (cached_flag v);
+      check (op ^ ": commented variant is cold in a fresh daemon")
+        (not (cached_flag fresh));
+      check_s (op ^ ": commented variant, same result bytes")
+        (fst (split_diags (strip_id_cached v)))
+        (fst (split_diags (strip_id_cached cold)));
+      check_s (op ^ ": commented variant, its own cold diags")
+        (snd (split_diags v)) (snd (split_diags fresh));
+      check (op ^ ": commented variant moves the diag spans")
+        (snd (split_diags v) <> snd (split_diags cold)))
+    raw_ops
+
+let ace_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun n -> Filename.check_suffix n ".ace")
+  |> List.map (Filename.concat dir)
+
+let flip_middle_byte path =
+  let s =
+    Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+  in
+  let i = Bytes.length s / 2 in
+  Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor 1));
+  write_file path (Bytes.to_string s)
+
+(* The memo still points at a canonical entry that is gone or corrupt:
+   the request recomputes, heals the cache and answers the cold bytes. *)
+let test_raw_stale_entry () =
+  with_socket_daemon @@ fun conn cache_dir ->
+  List.iter
+    (fun (op, req) ->
+      let cold = rpc conn (req ~id:1 ~cache:true noisy_chain) in
+      check (op ^ ": memo primed")
+        (cached_flag (rpc conn (req ~id:2 ~cache:true noisy_chain)));
+      List.iter
+        (fun (what, spoil) ->
+          List.iter spoil (ace_files cache_dir);
+          let again = rpc conn (req ~id:1 ~cache:true noisy_chain) in
+          check_s
+            (op ^ ": " ^ what ^ " entry recomputed, cold bytes")
+            again cold;
+          check
+            (op ^ ": " ^ what ^ " entry healed")
+            (cached_flag (rpc conn (req ~id:2 ~cache:true noisy_chain))))
+        [ ("deleted", Sys.remove); ("corrupt", flip_middle_byte) ];
+      check (op ^ ": corrupt entry quarantined")
+        (Array.exists
+           (fun n -> Filename.check_suffix n ".quarantined")
+           (Sys.readdir cache_dir)))
+    raw_ops
+
+(* More distinct texts than the memo's budget holds: it starts over, and
+   every earlier text still answers its first reply's bytes. *)
+let test_raw_memo_budget () =
+  let warnings =
+    String.concat ""
+      (List.init 200 (fun k -> Printf.sprintf "L ND;\nB 0 %d 10 10;\n" (k + 1)))
+  in
+  let text k = Printf.sprintf "(variant %d);\n%s%s" k warnings noisy_chain in
+  with_socket_daemon @@ fun conn _ ->
+  let first = rpc conn (op_req ~id:0 "extract" (text 0)) in
+  let entry = String.length (snd (split_diags first)) in
+  let n = (Serve.Server.memo_budget_bytes / entry) + 5 in
+  Printf.printf "  memo budget: %d texts of %d diag bytes\n%!" n entry;
+  let replies =
+    first
+    :: List.init (n - 1) (fun k ->
+           rpc conn (op_req ~id:0 "extract" (text (k + 1))))
+  in
+  check "memo budget: every text ok"
+    (List.for_all (fun r -> jbool (jget (jparse r) "ok")) replies);
+  let again =
+    List.init n (fun k -> rpc conn (op_req ~id:0 "extract" (text k)))
+  in
+  check "memo budget: every earlier text answers its first bytes"
+    (List.for_all2
+       (fun a b -> strip_id_cached a = strip_id_cached b)
+       again replies)
+
+let test_raw_no_cache () =
+  with_socket_daemon @@ fun conn cache_dir ->
+  let replies =
+    List.concat_map
+      (fun (_, req) ->
+        [
+          rpc conn (req ~id:1 ~cache:false noisy_chain);
+          rpc conn (req ~id:2 ~cache:false noisy_chain);
+        ])
+      raw_ops
+  in
+  check "cache:false: every reply ok"
+    (List.for_all (fun r -> jbool (jget (jparse r) "ok")) replies);
+  check "cache:false: no reply cached" (not (List.exists cached_flag replies));
+  check "cache:false: no cache file written" (Sys.readdir cache_dir = [||])
+
+(* Canonical key values are unchanged: these names were recorded before
+   the raw-key memo existed, so existing cache directories keep serving. *)
+let test_canonical_names () =
+  let dir = scratch () in
+  let lines =
+    run_once ~args:[ "--cache-dir"; dir ]
+      [
+        extract_req ~id:1 ~jobs:1 inverter_cif;
+        lvs_req ~id:2 inverter_cif (data_file "inverter.sp");
+      ]
+  in
+  check "canonical names: both replies ok"
+    (List.for_all (fun r -> jbool (jget (jparse r) "ok")) lines);
+  check "canonical names: inverter extract entry"
+    (Sys.file_exists (Filename.concat dir "5ec1661c47acf3e3.ace"));
+  check "canonical names: inverter lvs entry"
+    (Sys.file_exists (Filename.concat dir "a3bf98d447d19130.ace"))
+
+(* ------------------------------------------------------------------ *)
+(* 17. The chunked request reader, in-process                         *)
+
+(* Replies of [serve_channel] to [script], against [handle_line] on the
+   lines the script holds. *)
+let check_script ?max_request_bytes name script lines =
+  let t = Serve.Server.create (Serve.Server.config ?max_request_bytes ()) in
+  let dir = scratch () in
+  let inp = Filename.concat dir "in" and out = Filename.concat dir "out" in
+  write_file inp script;
+  let ic = open_in_bin inp and oc = open_out_bin out in
+  Serve.Server.serve_channel t ic oc;
+  close_in ic;
+  close_out oc;
+  let got = In_channel.with_open_bin out In_channel.input_all in
+  let expected =
+    String.concat ""
+      (List.map (fun l -> Serve.Server.handle_line t l ^ "\n") lines)
+  in
+  check_s ("reader: " ^ name) got expected
+
+let ping id = Printf.sprintf {|{"id":%s,"op":"ping"}|} id
+
+(* A ping whose id pads the line to exactly [n] bytes; the reply echoes
+   every byte of it. *)
+let ping_of_length n =
+  let frame = String.length (ping "\"\"") in
+  let pad = String.init (n - frame) (fun i -> Char.chr (97 + (i mod 26))) in
+  ping ("\"" ^ pad ^ "\"")
+
+let test_reader () =
+  let big = ping_of_length 200_000 in
+  check_script "a 200 KB line across chunk boundaries" (big ^ "\n") [ big ];
+  check_script "three pipelined requests"
+    (String.concat "\n" [ ping "1"; ping "2"; ping "3" ] ^ "\n")
+    [ ping "1"; ping "2"; ping "3" ];
+  let limit = 100_000 in
+  let at = ping_of_length limit and over = ping_of_length (limit + 1) in
+  check "reader: padded lines have the asked lengths"
+    (String.length at = limit && String.length over = limit + 1);
+  let long_lines = [ at; over; ping "3"; ping_of_length 300_000; ping "5" ] in
+  check_script ~max_request_bytes:limit "max_request_bytes and one byte more"
+    (String.concat "\n" long_lines ^ "\n")
+    long_lines;
+  check_script "a last line without a newline" (ping "1" ^ "\n" ^ ping "2")
+    [ ping "1"; ping "2" ];
+  check_script ~max_request_bytes:limit
+    "an over-long last line without a newline"
+    (ping "1" ^ "\n" ^ over) [ ping "1"; over ];
+  check_script "an empty line" (ping "1" ^ "\n\n" ^ ping "3" ^ "\n")
+    [ ping "1"; ""; ping "3" ];
+  check_script "CRLF line endings"
+    (ping "1" ^ "\r\n" ^ ping "2" ^ "\r\n")
+    [ ping "1" ^ "\r"; ping "2" ^ "\r" ];
+  check_script "empty input" "" []
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   test_once_basics ();
@@ -1102,6 +1445,13 @@ let () =
   test_fault_specs ();
   test_oom_soft ();
   test_cache_gc_cli ();
+  test_circuit_ops_store ();
+  test_raw_warm_replies ();
+  test_raw_stale_entry ();
+  test_raw_memo_budget ();
+  test_raw_no_cache ();
+  test_canonical_names ();
+  test_reader ();
   rm_rf scratch_base;
   if !failures > 0 then begin
     Printf.printf "test_serve: %d FAILED\n%!" !failures;

@@ -3,8 +3,9 @@
    The layout side is a .cif layout (extracted in-process, optionally
    sharded with -j) or an already-extracted wirelist; the reference side
    is a SPICE-ish schematic netlist (Ace_lvs.Reference) or a wirelist.
-   Exit codes follow wlcmp: 0 = clean, 1 = mismatch (or error
-   diagnostics), 2 = unreadable input, 3 = inconclusive. *)
+   Exit codes: 0 = clean, 1 = mismatch (or error diagnostics),
+   2 = unreadable input, 3 = inconclusive (the colour multisets agree
+   but the mapping they induce does not verify). *)
 
 module Diag = Ace_diag.Diag
 module Lvs = Ace_lvs

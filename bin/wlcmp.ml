@@ -1,7 +1,9 @@
 (* wlcmp — wirelist equivalence comparison, on the shared CLI conventions
    (input via Cli_common, --diag-format).  Exit codes are part of the
    contract (dune golden rules depend on them): 0 = equivalent,
-   1 = distinct, 2 = unreadable input, 3 = inconclusive. *)
+   1 = distinct, 2 = unreadable input.  "Equivalent" means colour
+   refinement found no difference (Ace_lvs.Match.exact describes the
+   circuits it cannot tell apart). *)
 
 module Diag = Ace_diag.Diag
 
@@ -21,31 +23,27 @@ let run a b with_sizes with_names diag_format trace =
             exit 2)
   in
   let ca = load a and cb = load b in
-  match Ace_netlist.Compare.compare ~with_sizes ~with_names ca cb with
-  | Ace_netlist.Compare.Equivalent ->
+  match Ace_lvs.Match.exact ~with_sizes ~with_names ca cb with
+  | Ace_lvs.Match.Equivalent ->
       Printf.printf "%s and %s are equivalent (%d devices, %d nets)\n" a b
         (Ace_netlist.Circuit.device_count ca)
         (Ace_netlist.Circuit.net_count ca);
       exit 0
-  | Ace_netlist.Compare.Distinct reason ->
+  | Ace_lvs.Match.Distinct reason ->
       (* Count mismatches get their own stable code so CI can tell "the
          extractor dropped devices" from "same counts, different graph". *)
       let code =
         match reason with
-        | Ace_netlist.Compare.Device_counts _ | Ace_netlist.Compare.Net_counts _
-          ->
+        | Ace_lvs.Match.Device_counts _ | Ace_lvs.Match.Net_counts _ ->
             "wl-count-mismatch"
-        | Ace_netlist.Compare.Structure _ -> "wl-distinct"
+        | Ace_lvs.Match.Structure _ -> "wl-distinct"
       in
       report
         [
           Diag.errorf ~code "%s vs %s: %s" a b
-            (Ace_netlist.Compare.reason_to_string reason);
+            (Ace_lvs.Match.reason_to_string reason);
         ];
       exit 1
-  | Ace_netlist.Compare.Inconclusive why ->
-      report [ Diag.warningf ~code:"wl-inconclusive" "%s vs %s: %s" a b why ];
-      exit 3
 
 open Cmdliner
 

@@ -50,20 +50,17 @@ let () =
   let circuit = Ace_core.Extractor.extract ~name:"buggy" design in
   Printf.printf "extracted: %s\n\n"
     (Format.asprintf "%a" Ace_netlist.Circuit.pp_summary circuit);
-  let findings = Ace_analysis.Static_check.check circuit in
+  let findings = Ace_lint.Engine.run circuit in
   print_endline "--- static checker findings ---";
   List.iter
-    (fun f ->
-      Format.printf "%a@." (Ace_analysis.Static_check.pp_finding circuit) f)
+    (fun f -> print_endline (Ace_lint.Finding.to_string circuit f))
     findings;
-  let errors, warnings, infos = Ace_analysis.Static_check.summarize findings in
+  let errors, warnings, infos = Ace_lint.Finding.summarize findings in
   Printf.printf "\n%d errors, %d warnings, %d infos\n" errors warnings infos;
   (* contrast with the clean inverter *)
   let clean =
     Ace_core.Extractor.extract
       (Ace_cif.Design.of_ast (Ace_workloads.Chips.single_inverter ()))
   in
-  let e, w, _ =
-    Ace_analysis.Static_check.summarize (Ace_analysis.Static_check.check clean)
-  in
+  let e, w, _ = Ace_lint.Finding.summarize (Ace_lint.Engine.run clean) in
   Printf.printf "(the clean inverter reports %d errors, %d warnings)\n" e w

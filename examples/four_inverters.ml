@@ -29,8 +29,8 @@ let () =
   Printf.printf "HEXT, flattened: %s\n"
     (Format.asprintf "%a" Ace_netlist.Circuit.pp_summary flat_of_hier);
   Printf.printf "equivalent: %s\n"
-    (Ace_netlist.Compare.verdict_to_string
-       (Ace_netlist.Compare.compare ~with_sizes:true flat flat_of_hier));
+    (Ace_lvs.Match.verdict_to_string
+       (Ace_lvs.Match.exact ~with_sizes:true flat flat_of_hier));
 
   (* the chain inverts: in=1 makes out=1 after four inversions *)
   let sim = Ace_analysis.Sim.create flat_of_hier ~vdd:"VDD" ~gnd:"GND" in

@@ -61,8 +61,8 @@ let () =
            Printf.sprintf "after edit %d       " i)
         elapsed stats.Ace_hext.Hext.leaf_extractions stats.compose_calls
         stats.window_hits
-        (Ace_netlist.Compare.verdict_to_string
-           (Ace_netlist.Compare.compare ~with_sizes:true flat circuit)))
+        (Ace_lvs.Match.verdict_to_string
+           (Ace_lvs.Match.exact ~with_sizes:true flat circuit)))
     versions;
   print_endline
     "\nonly the windows covering each edit are re-analyzed; everything else\n\

@@ -42,6 +42,6 @@ let () =
 
   let flat_of_hier = Ace_netlist.Hier.flatten hier in
   Printf.printf "\nverification: %s\n"
-    (Ace_netlist.Compare.verdict_to_string
-       (Ace_netlist.Compare.compare ~with_sizes:true flat flat_of_hier));
+    (Ace_lvs.Match.verdict_to_string
+       (Ace_lvs.Match.exact ~with_sizes:true flat flat_of_hier));
   Printf.printf "speedup on this regular array: %.1fx\n" (t_flat /. t_hext)

@@ -14,8 +14,11 @@ let gate_inputs = function
   | Gates.Inverter { input; _ } -> [ input ]
   | Gates.Nand { inputs; _ } | Gates.Nor { inputs; _ } -> inputs
 
-let analyze ?(params = Nmos.default) ?(r_on_per_square = 10_000.0)
-    ?vdd ?gnd (c : Circuit.t) =
+(* Channel on-resistance per square, Ω: a typical NMOS figure, also the
+   resistance charged to a gate without a depletion pull-up. *)
+let r_on_per_square = 10_000.0
+
+let analyze ?(params = Nmos.default) ?vdd ?gnd (c : Circuit.t) =
   let recognition = Gates.recognize ?vdd ?gnd c in
   match recognition.Gates.gates with
   | [] -> None
@@ -128,8 +131,7 @@ let analyze ?(params = Nmos.default) ?(r_on_per_square = 10_000.0)
 (* As [analyze], but explains itself: a missing rail (the usual reason
    recognition finds no gates) comes back as a "missing-rail" diagnostic
    instead of a silent [None]. *)
-let analyze_checked ?params ?r_on_per_square ?(vdd = "VDD") ?(gnd = "GND")
-    (c : Circuit.t) =
+let analyze_checked ?params ?(vdd = "VDD") ?(gnd = "GND") (c : Circuit.t) =
   let missing name =
     Ace_diag.Diag.error ~code:"missing-rail"
       (Printf.sprintf
@@ -144,7 +146,7 @@ let analyze_checked ?params ?r_on_per_square ?(vdd = "VDD") ?(gnd = "GND")
   in
   match diags with
   | _ :: _ -> (None, diags)
-  | [] -> (analyze ?params ?r_on_per_square ~vdd ~gnd c, [])
+  | [] -> (analyze ?params ~vdd ~gnd c, [])
 
 let pp_result c ppf r =
   Format.fprintf ppf

@@ -26,7 +26,6 @@ type result = {
     arrays). *)
 val analyze :
   ?params:Ace_tech.Nmos.params ->
-  ?r_on_per_square:float ->
   ?vdd:string ->
   ?gnd:string ->
   Circuit.t ->
@@ -37,7 +36,6 @@ val analyze :
     no-gates [None]. *)
 val analyze_checked :
   ?params:Ace_tech.Nmos.params ->
-  ?r_on_per_square:float ->
   ?vdd:string ->
   ?gnd:string ->
   Circuit.t ->

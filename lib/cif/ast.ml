@@ -26,35 +26,9 @@ type element =
 type symbol_def = { id : int; name : string option; elements : element list }
 type file = { symbols : symbol_def list; top_level : element list }
 
-let empty_file = { symbols = []; top_level = [] }
-
 let called_symbols elements =
   List.filter_map
     (function
       | Call { symbol; _ } -> Some symbol
       | Shape _ | Label _ | Comment_ext _ -> None)
     elements
-
-let pp_points ppf pts =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_space ppf ())
-    Point.pp ppf pts
-
-let pp_shape ppf = function
-  | Box { length; width; center; direction } ->
-      Format.fprintf ppf "B %d %d %a%a" length width Point.pp center
-        (fun ppf -> function
-          | None -> ()
-          | Some d -> Format.fprintf ppf " dir %a" Point.pp d)
-        direction
-  | Polygon pts -> Format.fprintf ppf "P %a" pp_points pts
-  | Wire { width; path } -> Format.fprintf ppf "W %d %a" width pp_points path
-  | Round_flash { diameter; center } ->
-      Format.fprintf ppf "R %d %a" diameter Point.pp center
-
-let pp_element ppf = function
-  | Shape { layer; shape } -> Format.fprintf ppf "L %s %a" layer pp_shape shape
-  | Call { symbol; _ } -> Format.fprintf ppf "C %d ..." symbol
-  | Label { name; position; _ } ->
-      Format.fprintf ppf "94 %s %a" name Point.pp position
-  | Comment_ext s -> Format.fprintf ppf "ext %S" s

@@ -43,10 +43,5 @@ type symbol_def = {
 
 type file = { symbols : symbol_def list; top_level : element list }
 
-val empty_file : file
-
 (** All symbol ids called (directly) by these elements. *)
 val called_symbols : element list -> int list
-
-val pp_shape : Format.formatter -> shape -> unit
-val pp_element : Format.formatter -> element -> unit

@@ -1,5 +1,4 @@
 open Ace_geom
-open Ace_tech
 
 let iter design f =
   let quantum = Design.quantum design in
@@ -25,9 +24,4 @@ let iter design f =
 let flatten design =
   let acc = ref [] in
   iter design (fun lyr bx -> acc := (lyr, bx) :: !acc);
-  !acc
-
-let flatten_layer design layer =
-  let acc = ref [] in
-  iter design (fun lyr bx -> if Layer.equal lyr layer then acc := bx :: !acc);
   !acc

@@ -13,6 +13,3 @@ val flatten : Design.t -> (Layer.t * Box.t) list
 
 (** [iter design f] visits every primitive box without building a list. *)
 val iter : Design.t -> (Layer.t -> Box.t -> unit) -> unit
-
-(** Boxes restricted to a single layer. *)
-val flatten_layer : Design.t -> Layer.t -> Box.t list

@@ -22,8 +22,7 @@ open Ace_netlist
 
     This module lives in [Ace_core] (not [Ace_hext]) so that both the
     hierarchical extractor and the domain-parallel sharded extractor
-    ({!Parallel}) can stitch window wirelists with the same code;
-    [Ace_hext.Fragment] re-exports it. *)
+    ({!Parallel}) can stitch window wirelists with the same code. *)
 
 type partial = {
   p_area : int;

@@ -63,12 +63,6 @@ let tile_windows ~cols ~rows (bb : Box.t) =
           y := !y + ht;
           Box.make ~l ~b ~r:(l + wd) ~t:(b + ht)))
 
-(* The classic full-height vertical strips: one row of tiles.  Vertical
-   strips keep every box top unchanged under clipping, so each shard's
-   stream is exactly the flat stream restricted in x. *)
-let windows ~jobs (bb : Box.t) =
-  Array.map (fun col -> col.(0)) (tile_windows ~cols:jobs ~rows:1 bb)
-
 (* "CxR" — e.g. "4x2" is four columns by two rows. *)
 let tile_of_string s =
   let bad () =

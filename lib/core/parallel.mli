@@ -68,10 +68,6 @@ val balance : stats -> float
     tiles are adjacent and cover the box exactly. *)
 val tile_windows : cols:int -> rows:int -> Box.t -> Box.t array array
 
-(** Full-height vertical strips: [tile_windows ~cols:jobs ~rows:1],
-    flattened.  The partition the [-j]-only path uses. *)
-val windows : jobs:int -> Box.t -> Box.t array
-
 (** Parse a "COLSxROWS" grid spec (e.g. ["4x2"]), both ≥ 1. *)
 val tile_of_string : string -> (int * int, string) result
 

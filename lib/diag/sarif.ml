@@ -57,14 +57,13 @@ let complete_rules rules results =
   in
   rules @ extra
 
-let render ~tool ?(version = "0.1") ?(rules = []) results =
+let render ~tool ?(rules = []) results =
   let rules = complete_rules rules results in
   let buf = Buffer.create 1024 in
   let add = Buffer.add_string buf in
   add "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",";
   add "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{";
-  add (Printf.sprintf "\"name\":\"%s\",\"version\":\"%s\"," (esc tool)
-         (esc version));
+  add (Printf.sprintf "\"name\":\"%s\",\"version\":\"0.1\"," (esc tool));
   add "\"informationUri\":\"https://doi.org/10.1145/800667.754923\",";
   add "\"rules\":[";
   List.iteri

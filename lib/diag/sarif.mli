@@ -36,5 +36,4 @@ val of_diag :
 (** Render a complete SARIF 2.1.0 log.  Rule ids appearing in results but
     not in [rules] get synthesized bare entries so [ruleIndex] always
     resolves. *)
-val render :
-  tool:string -> ?version:string -> ?rules:rule list -> result list -> string
+val render : tool:string -> ?rules:rule list -> result list -> string

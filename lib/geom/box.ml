@@ -6,9 +6,6 @@ let make ~l ~b ~r ~t =
       (Printf.sprintf "Box.make: degenerate box l=%d b=%d r=%d t=%d" l b r t);
   { l; b; r; t }
 
-let of_corners (p : Point.t) (q : Point.t) =
-  make ~l:(min p.x q.x) ~b:(min p.y q.y) ~r:(max p.x q.x) ~t:(max p.y q.y)
-
 (* CIF boxes have centimicron resolution; round corners outward for odd
    sizes so the box never collapses. *)
 let low_edge ~center ~size = center - (size / 2)

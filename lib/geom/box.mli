@@ -11,11 +11,6 @@ type t = private { l : int; b : int; r : int; t : int }
     [l < r && b < t]. *)
 val make : l:int -> b:int -> r:int -> t:int -> t
 
-(** [of_corners p q] builds the box spanned by two opposite corners, in any
-    order.  Raises [Invalid_argument] on degenerate (zero width/height)
-    input. *)
-val of_corners : Point.t -> Point.t -> t
-
 (** [of_center_size ~cx ~cy ~w ~h] is CIF's B command geometry: a [w]×[h] box
     centered at ([cx], [cy]).  [w] and [h] must be positive and such that the
     corners land on integers (even, for odd centers use [make]). *)

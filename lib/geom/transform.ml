@@ -75,8 +75,6 @@ let apply_box t (bx : Box.t) =
   apply_box_into t 0 ~l:bx.l ~b:bx.b ~r:bx.r ~t:bx.t d 0;
   Box.make ~l:d.(0) ~b:d.(1) ~r:d.(2) ~t:d.(3)
 
-let is_orthogonal _ = true
-
 let equal (a : t) (b : t) =
   a.(0) = b.(0) && a.(1) = b.(1) && a.(2) = b.(2) && a.(3) = b.(3)
   && a.(4) = b.(4) && a.(5) = b.(5)

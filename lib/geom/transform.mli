@@ -61,10 +61,6 @@ val apply_box_into :
   int array -> int -> l:int -> b:int -> r:int -> t:int -> int array -> int ->
   unit
 
-(** Does the transform preserve axis alignment trivially (always true for
-    this type); exposed for documentation of invariants in callers. *)
-val is_orthogonal : t -> bool
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -11,7 +11,8 @@ open Ace_tech
     - slices a window in two along a cut line chosen from instance
       bounding-box edges — geometry is split at the line, instances never
       are (this realizes the paper's disjoint transformation with only
-      simple windows, so {!Fragment.compose} never sees complex shapes);
+      simple windows, so {!Ace_core.Fragment.compose} never sees complex
+      shapes);
     - expands instances one level when no valid cut exists (overlapping
       bounding boxes — the papers' cell-overlap problem).
 

@@ -1,5 +1,6 @@
 open Ace_geom
 open Ace_netlist
+module Fragment = Ace_core.Fragment
 
 (* Monotonic seconds for the phase-time accumulators: immune to wall-clock
    steps, same timebase as the trace spans. *)
@@ -293,5 +294,3 @@ let cell_fingerprint (p : Hier.part) =
       List.iter (fun (a, b) -> h := mix (mix !h a) b) i.Hier.net_map)
     p.Hier.instances;
   !h land max_int
-
-let boundary_pins (p : Hier.part) = p.Hier.exports

@@ -6,7 +6,7 @@ open Ace_netlist
     ({!Content}), recognizing redundant windows through a canonical-form
     table; the back-end extracts each {e unique} leaf window with the
     scanline engine in interface mode and composes adjacent windows,
-    memoizing compose results ({!Fragment}).  The output is a hierarchical
+    memoizing compose results ({!Ace_core.Fragment}).  The output is a hierarchical
     wirelist ({!Ace_netlist.Hier.t}) whose flattening equals the flat
     extractor's circuit (tested). *)
 
@@ -68,6 +68,3 @@ val cell_fingerprint : Hier.part -> int
     parts share a fingerprint, so a per-fingerprint memo visits each
     distinct cell exactly once. *)
 
-val boundary_pins : Hier.part -> int list
-(** The part's boundary terminals — its exported local nets — in
-    declaration order. *)

@@ -24,10 +24,6 @@ let setting_of_string s =
       | None ->
           Error (Printf.sprintf "unknown level %S (want error|warn|info|off)" s))
 
-let setting_to_string = function
-  | Off -> "off"
-  | Severity s -> Finding.severity_to_string s
-
 let positive_int key v =
   match int_of_string_opt v with
   | Some n when n > 0 -> Ok n

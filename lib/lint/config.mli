@@ -21,7 +21,6 @@ type t = {
 val default : t
 
 val setting_of_string : string -> (setting, string) result
-val setting_to_string : setting -> string
 
 (** Apply one [key=value] binding (e.g. ["ratio=off"], ["lambda=200"]). *)
 val parse_binding : t -> string -> (t, string) result

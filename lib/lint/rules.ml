@@ -60,7 +60,7 @@ let push_pull circuit ~vdd ~gnd =
   (nodes, pullups)
 
 (* ------------------------------------------------------------------ *)
-(* Ported checks (the original Static_check battery)                   *)
+(* ACE §1's static-checker battery                                     *)
 (* ------------------------------------------------------------------ *)
 
 let no_rail =

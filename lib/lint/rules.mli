@@ -2,11 +2,11 @@ open Ace_netlist
 
 (** The built-in electrical rule registry.
 
-    The original {!Ace_analysis.Static_check} battery (ACE §1's ratio
-    / malformed-transistor / stuck-signal checker) ported to the registry,
-    plus the pass-network, fan-out, sneak-path, superbuffer, labelling and
-    λ-grid analyses.  Every rule has a stable kebab-case code; severities
-    and enablement are decided by {!Config}, not here. *)
+    ACE §1's static checker (ratio, malformed-transistor and stuck-signal
+    checks) as registry rules, plus the pass-network, fan-out, sneak-path,
+    superbuffer, labelling and λ-grid analyses.  Every rule has a stable
+    kebab-case code; severities and enablement are decided by {!Config},
+    not here. *)
 
 (** Channel-graph reachability from seed nets (source/drain edges conduct,
     gates do not).  Nets in [stop] are marked when touched but never

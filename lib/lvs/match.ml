@@ -26,15 +26,31 @@ type stats = {
 type outcome = Clean | Mismatch | Inconclusive
 type result = { outcome : outcome; findings : finding list; stats : stats }
 
+type reason =
+  | Device_counts of int * int
+  | Net_counts of int * int
+  | Structure of string
+
+type verdict = Equivalent | Distinct of reason
+
+let reason_to_string = function
+  | Device_counts (a, b) -> Printf.sprintf "device counts differ: %d vs %d" a b
+  | Net_counts (a, b) ->
+      Printf.sprintf "connected net counts differ: %d vs %d" a b
+  | Structure why -> why
+
+let verdict_to_string = function
+  | Equivalent -> "equivalent"
+  | Distinct why -> "distinct: " ^ reason_to_string why
+
 let mix = Refine.mix
 
-(* One side of the comparison: the reduced circuit restricted to nets
-   carrying at least one device terminal (deviceless nets contribute no
-   structure to a switch-level comparison), with per-round device color
-   history (newest first) for the localization pairing.  [net_pos] maps a
-   circuit net to its comparison position (-1 when deviceless).  In
-   [graph], device [i]'s terminals are its gate, source and drain, at
-   [3i], [3i + 1] and [3i + 2]. *)
+(* One side of a comparison: a circuit restricted to its comparison nets
+   [nets] (ascending), with per-round device color history (newest first)
+   for the localization pairing.  [net_pos] maps a circuit net to its
+   comparison position (-1 for other nets).  In [graph], device [i]'s
+   terminals are its gate, source and drain, at [3i], [3i + 1] and
+   [3i + 2]. *)
 type side = {
   c : Circuit.t;
   mult : int array;
@@ -42,32 +58,31 @@ type side = {
   net_pos : int array;
   graph : Refine.t;
   net_color : int array;  (** refined in place *)
-  mutable dev_color : int array;  (** fresh each round *)
+  mutable dev_color : int array;  (** fresh each round in {!run_full} *)
   mutable dev_hist : int array list;
 }
 
-let side_of (r : Reduce.t) =
-  let c = r.Reduce.circuit in
-  let devices = c.Circuit.devices in
-  let net_pos = Array.make (Array.length c.Circuit.nets) (-1) in
+(* The nets carrying at least one device terminal, ascending: {!run_full}
+   compares only these, since deviceless nets contribute no structure to
+   a switch-level comparison. *)
+let terminal_nets (c : Circuit.t) =
+  let used = Array.make (Array.length c.Circuit.nets) false in
   Array.iter
     (fun (d : Circuit.device) ->
-      net_pos.(d.gate) <- 0;
-      net_pos.(d.source) <- 0;
-      net_pos.(d.drain) <- 0)
-    devices;
-  let n_nets = ref 0 in
-  Array.iteri
-    (fun n p ->
-      if p >= 0 then begin
-        net_pos.(n) <- !n_nets;
-        incr n_nets
-      end)
-    net_pos;
-  let nets = Array.make !n_nets 0 in
-  Array.iteri (fun n p -> if p >= 0 then nets.(p) <- n) net_pos;
+      used.(d.gate) <- true;
+      used.(d.source) <- true;
+      used.(d.drain) <- true)
+    c.Circuit.devices;
+  Array.of_seq
+    (Seq.filter (Array.get used) (Seq.init (Array.length used) Fun.id))
+
+let side_of c mult nets =
+  let devices = c.Circuit.devices in
+  let n_nets = Array.length nets in
+  let net_pos = Array.make (Array.length c.Circuit.nets) (-1) in
+  Array.iteri (fun p n -> net_pos.(n) <- p) nets;
   let graph =
-    Refine.graph ~nets:!n_nets
+    Refine.graph ~nets:n_nets
       (Array.map
          (fun (d : Circuit.device) ->
            [
@@ -79,11 +94,11 @@ let side_of (r : Reduce.t) =
   in
   {
     c;
-    mult = r.Reduce.mult;
+    mult;
     nets;
     net_pos;
     graph;
-    net_color = Array.make !n_nets 0;
+    net_color = Array.make n_nets 0;
     dev_color =
       Array.map (fun (d : Circuit.device) -> Refine.type_code d.dtype) devices;
     dev_hist = [];
@@ -139,22 +154,23 @@ let init_colors tag seeds side =
     side.nets;
   side.dev_hist <- [ side.dev_color ]
 
-(* One refinement round, identical in shape to Compare.refine: devices
-   rehash from gate color and the unordered source/drain pair, nets from
-   the incident device colors with terminal roles (gate 1, channel 2).
-   Each round's device colors are a fresh array, so the history can keep
-   it as is. *)
-let round side =
+(* The device half of a round: device [k] rehashes from its color in
+   [dev_color], its gate's color and the unordered source/drain pair. *)
+let device_color side dev_color k =
   let nc = side.net_color and t = side.graph.Refine.term_net in
+  let i = 3 * k in
+  let sd = Refine.hash_pair nc.(t.(i + 1)) nc.(t.(i + 2)) in
+  mix (mix (mix dev_color.(k) nc.(t.(i))) sd) 17
+
+(* One refinement round of {!run_full}: devices rehash ({!device_color}),
+   then nets from the incident device colors with terminal roles (gate 1,
+   channel 2).  Each round's device colors are a fresh array, so the
+   history can keep it as is. *)
+let round side =
   let dc' =
-    Array.mapi
-      (fun i d ->
-        let k = 3 * i in
-        let sd = Refine.hash_pair nc.(t.(k + 1)) nc.(t.(k + 2)) in
-        mix (mix (mix d nc.(t.(k))) sd) 17)
-      side.dev_color
+    Array.init (Array.length side.dev_color) (device_color side side.dev_color)
   in
-  Refine.refine_nets side.graph ~dev_color:dc' ~net_color:nc;
+  Refine.refine_nets side.graph ~dev_color:dc' ~net_color:side.net_color;
   side.dev_color <- dc';
   side.dev_hist <- dc' :: side.dev_hist
 
@@ -162,6 +178,56 @@ let multiset a =
   let m = Array.copy a in
   Refine.sort m 0 (Array.length m);
   m
+
+(* When refinement individuated every net and device, check the mapping
+   the colors induce edge by edge: each device of [a] and the device of
+   [b] with its color must have corresponding gates and, in either
+   order, corresponding channel terminals.  Returns the first
+   inconsistency; [None] when the mapping holds, or when some color class
+   has several members and there is no mapping to check.  The callers
+   have already found the color multisets equal. *)
+let mapping_error a b =
+  let s = Refine.scratch () in
+  let singletons colors = Refine.distinct s colors = Array.length colors in
+  if
+    not
+      (singletons a.net_color && singletons a.dev_color
+     && singletons b.net_color && singletons b.dev_color)
+  then None
+  else begin
+    let index_by colors =
+      let tbl = Hashtbl.create (Array.length colors) in
+      Array.iteri (fun i c -> Hashtbl.replace tbl c i) colors;
+      tbl
+    in
+    let net_of_b = index_by b.net_color and dev_of_b = index_by b.dev_color in
+    let net_maps na nb =
+      match Hashtbl.find_opt net_of_b a.net_color.(a.net_pos.(na)) with
+      | Some x -> x = b.net_pos.(nb)
+      | None -> false
+    in
+    let devices = a.c.Circuit.devices in
+    let rec check i =
+      if i = Array.length devices then None
+      else
+        match Hashtbl.find_opt dev_of_b a.dev_color.(i) with
+        | None -> Some "unmatched device color"
+        | Some j ->
+            let d = devices.(i) and d' = b.c.Circuit.devices.(j) in
+            if not (net_maps d.gate d'.gate) then
+              Some (Printf.sprintf "gate of device %d maps inconsistently" i)
+            else if
+              not
+                (net_maps d.source d'.source && net_maps d.drain d'.drain
+                || net_maps d.source d'.drain && net_maps d.drain d'.source)
+            then
+              Some
+                (Printf.sprintf "source/drain of device %d map inconsistently"
+                   i)
+            else check (i + 1)
+    in
+    check 0
+  end
 
 (* ---------- rendering helpers ------------------------------------------ *)
 
@@ -264,7 +330,10 @@ let run_full ?(cancel = Cancel.never) ?(with_sizes = true) ?(tolerance = 0.)
   let ca = ra.Reduce.circuit and cb = rb.Reduce.circuit in
   let ra = Reduce.canonicalize ~cancel ~seed:(canon_seed ca cb) ~anonymous ra
   and rb = Reduce.canonicalize ~cancel ~seed:(canon_seed cb ca) ~anonymous rb in
-  let a = side_of ra and b = side_of rb in
+  let side (r : Reduce.t) =
+    side_of r.Reduce.circuit r.Reduce.mult (terminal_nets r.Reduce.circuit)
+  in
+  let a = side ra and b = side rb in
   let rounds =
     Trace.with_span "lvs.refine" (fun () ->
         let seeds = seed_table a b ~vdd ~gnd in
@@ -326,55 +395,7 @@ let run_full ?(cancel = Cancel.never) ?(with_sizes = true) ?(tolerance = 0.)
        color multisets agree). *)
     let matched = Array.length a.c.Circuit.devices in
     Trace.count Trace.Counter.Lvs_matches matched;
-    let singleton colors =
-      let tbl = Hashtbl.create 64 in
-      Array.iter
-        (fun c ->
-          Hashtbl.replace tbl c
-            (1 + try Hashtbl.find tbl c with Not_found -> 0))
-        colors;
-      Hashtbl.fold (fun _ n acc -> acc && n = 1) tbl true
-    in
-    let verify_failed =
-      if
-        singleton a.net_color && singleton a.dev_color
-        && singleton b.net_color && singleton b.dev_color
-      then begin
-        let index_by colors =
-          let tbl = Hashtbl.create 64 in
-          Array.iteri (fun i c -> Hashtbl.replace tbl c i) colors;
-          tbl
-        in
-        let net_of_b = index_by b.net_color
-        and dev_of_b = index_by b.dev_color in
-        let ok = ref true in
-        Array.iteri
-          (fun i (d : Circuit.device) ->
-            match Hashtbl.find_opt dev_of_b a.dev_color.(i) with
-            | None -> ok := false
-            | Some j ->
-                let d' = b.c.Circuit.devices.(j) in
-                let net_maps na nb =
-                  match
-                    Hashtbl.find_opt net_of_b a.net_color.(a.net_pos.(na))
-                  with
-                  | Some x -> x = b.net_pos.(nb)
-                  | None -> false
-                in
-                if
-                  not
-                    (net_maps d.gate d'.gate
-                    && (net_maps d.source d'.source
-                        && net_maps d.drain d'.drain
-                       || net_maps d.source d'.drain
-                          && net_maps d.drain d'.source))
-                then ok := false)
-          a.c.Circuit.devices;
-        not !ok
-      end
-      else false
-    in
-    if verify_failed then
+    if mapping_error a b <> None then
       {
         outcome = Inconclusive;
         findings =
@@ -741,3 +762,48 @@ let run ?cancel ?with_sizes ?tolerance ?vdd ?gnd ?max_findings ~layout
       ~reference ()
   in
   r
+
+(* ---------- exact equivalence ------------------------------------------ *)
+
+let exact ?(with_sizes = false) ?(with_names = false) (ca : Circuit.t)
+    (cb : Circuit.t) =
+  let nets c = Array.of_list (Circuit.connected_net_indices c) in
+  let na = nets ca and nb = nets cb in
+  let nd = Array.length ca.Circuit.devices
+  and nd_b = Array.length cb.Circuit.devices in
+  if nd <> nd_b then Distinct (Device_counts (nd, nd_b))
+  else if Array.length na <> Array.length nb then
+    Distinct (Net_counts (Array.length na, Array.length nb))
+  else begin
+    let refined (c : Circuit.t) nets =
+      let s = side_of c (Array.make nd 1) nets in
+      if with_sizes then
+        Array.iteri
+          (fun k (d : Circuit.device) ->
+            s.dev_color.(k) <- mix (mix s.dev_color.(k) d.length) d.width)
+          c.Circuit.devices;
+      if with_names then
+        Array.iteri
+          (fun p n ->
+            let names =
+              Array.of_list
+                (List.map Refine.str_code c.Circuit.nets.(n).Circuit.names)
+            in
+            s.net_color.(p) <-
+              Refine.hash_sorted_range names 0 (Array.length names))
+          nets;
+      ignore
+        (Refine.run s.graph ~net_color:s.net_color ~dev_color:s.dev_color
+           (device_color s s.dev_color));
+      s
+    in
+    let a = refined ca na and b = refined cb nb in
+    if multiset a.dev_color <> multiset b.dev_color then
+      Distinct (Structure "device color multisets differ (structure mismatch)")
+    else if multiset a.net_color <> multiset b.net_color then
+      Distinct (Structure "net color multisets differ (connectivity mismatch)")
+    else
+      match mapping_error a b with
+      | None -> Equivalent
+      | Some why -> Distinct (Structure why)
+  end

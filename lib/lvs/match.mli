@@ -1,13 +1,14 @@
 open Ace_netlist
 
-(** The LVS comparator: layout-vs-schematic by seeded partition
-    refinement.
+(** The netlist comparator: layout-vs-schematic by seeded partition
+    refinement ({!run}), and exact equivalence of two wirelists
+    ({!exact}), both on the {!Refine} kernel.
 
-    Both circuits are first series/parallel-reduced ({!Reduce}), then nets
-    and devices are colored by Gemini-style iterative refinement — the
-    same hashing discipline as {!Ace_netlist.Compare} — with initial
-    colors seeded from pinned power rails and net-name hints shared by the
-    two sides (a name attached to exactly one net on each side).  Device
+    For {!run}, both circuits are first series/parallel-reduced
+    ({!Reduce}), then nets and devices are colored by Gemini-style
+    iterative refinement with initial colors seeded from pinned power
+    rails and net-name hints shared by the two sides (a name attached to
+    exactly one net on each side).  Device
     sizes deliberately stay out of the colors, so a W/L discrepancy
     surfaces as a size finding on matched devices instead of dissolving
     into an opaque topology mismatch.
@@ -18,7 +19,19 @@ open Ace_netlist
     histories (finest round first) and the unpaired remainder plus
     terminal-correspondence votes localize the difference: extra/missing
     devices, split/merged nets, count mismatches, or — as a last resort —
-    a bare topology verdict. *)
+    a bare topology verdict.
+
+    {b What a verdict means.}  Colour refinement cannot tell apart every
+    pair of non-isomorphic circuits: it never splits vertices that look
+    alike to all their neighbours, so graphs that are regular in the same
+    way get equal colour multisets.  A six-stage ring oscillator and two
+    three-stage rings (each stage an enhancement pull-down to GND and a
+    depletion load to VDD, all of one size) compare [Equivalent] under
+    {!exact} and [Clean] under {!run}.  The colouring induces a mapping,
+    and that mapping is checked edge by edge, only when every colour class
+    is a singleton.  Otherwise an equivalent or clean verdict means that
+    refinement found no difference, not that an isomorphism was
+    found. *)
 
 type finding = {
   code : string;  (** stable [lvs-*] identifier *)
@@ -59,7 +72,8 @@ type result = {
     sides before refinement ({!Reduce.canonicalize}), so swapped inputs
     on a NAND compare Clean.  Comparison is symmetric: swapping the two
     circuits yields the same outcome with mirrored finding polarity
-    (extra <-> missing). *)
+    (extra <-> missing).  A [Clean] outcome has the limits described at
+    the top of this module. *)
 val run :
   ?cancel:Ace_core.Cancel.t ->
   ?with_sizes:bool ->
@@ -89,3 +103,35 @@ val run_full :
     the two sides correspond class by class, which is how {!Hier} derives
     the boundary-pin correspondence of a matched cell; reduction never
     renumbers nets, so the indices are valid in the input circuits. *)
+
+(** {1 Exact equivalence} *)
+
+(** Why two circuits are distinct.  Count mismatches are structured so
+    that callers (wlcmp) can attach stable diagnostic codes instead of
+    pattern-matching message text. *)
+type reason =
+  | Device_counts of int * int  (** device counts differ: (a, b) *)
+  | Net_counts of int * int  (** connected net counts differ: (a, b) *)
+  | Structure of string  (** human-readable first structural difference *)
+
+val reason_to_string : reason -> string
+
+type verdict = Equivalent | Distinct of reason  (** first difference found *)
+
+val verdict_to_string : verdict -> string
+
+val exact :
+  ?with_sizes:bool -> ?with_names:bool -> Circuit.t -> Circuit.t -> verdict
+(** [exact ?with_sizes ?with_names a b] compares two wirelists as they
+    are: no series/parallel reduction, no pinned rails, no name hints.
+    It checks the device counts, then the counts of connected nets (those
+    with a device terminal or a name, {!Circuit.connected_net_indices}).
+    Devices start from their type, mixed with L and then W when
+    [with_sizes] (default false); nets start from the multiset of their
+    names (case-sensitive) when [with_names] (default false), else all
+    alike.  Each side is refined on its own, then the device and net
+    color multisets are compared, and a fully individuated coloring has
+    its induced mapping verified edge by edge.  This is how the tests
+    prove that ACE, the baseline extractors and HEXT agree.  An
+    [Equivalent] verdict has the limits described at the top of this
+    module. *)

@@ -22,8 +22,9 @@
 
 module Cancel = Ace_core.Cancel
 
-(* Same hashing discipline as Ace_netlist.Compare, so the comparators
-   agree on what "same structure" means. *)
+(* The one hashing discipline of every comparison: Match.run, Match.exact,
+   the chain canonicalizer and the glue compare agree on what "same
+   structure" means. *)
 let mix h x = (h * 1000003) + x + 0x9e3779b9
 
 let str_code s =

@@ -1,15 +1,6 @@
 open Ace_geom
 open Ace_tech
 
-let layer_char = function
-  | Layer.Diffusion -> 'd'
-  | Layer.Poly -> 'p'
-  | Layer.Metal -> 'm'
-  | Layer.Contact -> '#'
-  | Layer.Implant -> 'i'
-  | Layer.Buried -> 'b'
-  | Layer.Glass -> 'g'
-
 (* cell classification priority; a diffusion∧poly crossing shows as the
    transistor channel 'X' *)
 let char_of_mask mask =

@@ -5,9 +5,6 @@ open Ace_tech
     topmost-priority layer wins ([X] marks a transistor channel).  Handy
     for eyeballing generated cells in tests and the REPL. *)
 
-(** Character used for a layer. *)
-val layer_char : Layer.t -> char
-
 (** [render ~grid boxes] — [grid] is centimicrons per character cell
     (default 250 = 1λ).  Returns rows from top to bottom. *)
 val render : ?grid:int -> (Layer.t * Box.t) list -> string list

@@ -9,8 +9,6 @@ let device_type_name = function
   | Enhancement -> "nEnh"
   | Depletion -> "nDep"
 
-let pp_device_type ppf t = Format.pp_print_string ppf (device_type_name t)
-
 type params = {
   lambda : int;
   sheet_ohms_diffusion : float;

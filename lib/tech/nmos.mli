@@ -15,8 +15,6 @@ val device_type_equal : device_type -> device_type -> bool
 (** Wirelist part names, as in the papers' figures ("nEnh" / "nDep"). *)
 val device_type_name : device_type -> string
 
-val pp_device_type : Format.formatter -> device_type -> unit
-
 type params = {
   lambda : int;
       (** feature size in CIF centimicrons (Mead–Conway: 250 = 2.5 µm) *)

@@ -249,13 +249,6 @@ let counter_totals () =
     (bufs_snapshot ());
   List.map (fun c -> (c, totals.(Counter.index c))) Counter.all
 
-let reset_counters () =
-  List.iter
-    (fun b ->
-      Array.fill b.counters 0 Counter.cardinal 0;
-      Array.fill b.base 0 Counter.cardinal 0)
-    (bufs_snapshot ())
-
 let counters_snapshot () = Array.copy (current ()).counters
 
 (* --- recording --- *)
@@ -425,85 +418,6 @@ let session_counter_totals s =
     (fun t -> Array.iteri (fun i v -> totals.(i) <- totals.(i) + v) t.t_counters)
     s.tracks;
   List.map (fun c -> (c, totals.(Counter.index c))) Counter.all
-
-(* --- compact text tree --- *)
-
-type node = {
-  mutable calls : int;
-  mutable total_ns : int64;
-  mutable alloc_w : float;
-  children : (string, node) Hashtbl.t;
-  mutable order : string list;  (** child names, first-seen order *)
-}
-
-let fresh_node () =
-  { calls = 0; total_ns = 0L; alloc_w = 0.0; children = Hashtbl.create 4; order = [] }
-
-let to_text (s : session) =
-  let buffer = Buffer.create 1024 in
-  List.iter
-    (fun tr ->
-      Buffer.add_string buffer
-        (Printf.sprintf "track %d  %s\n" tr.t_tid tr.t_name);
-      let root = fresh_node () in
-      let stack = ref [ root ] in
-      let starts = ref [] in
-      Array.iter
-        (fun e ->
-          match e.kind with
-          | Begin ->
-              let parent = List.hd !stack in
-              let node =
-                match Hashtbl.find_opt parent.children e.ename with
-                | Some n -> n
-                | None ->
-                    let n = fresh_node () in
-                    Hashtbl.add parent.children e.ename n;
-                    parent.order <- e.ename :: parent.order;
-                    n
-              in
-              stack := node :: !stack;
-              starts := e :: !starts
-          | End -> (
-              match (!stack, !starts) with
-              | node :: rest, b :: brest when rest <> [] ->
-                  node.calls <- node.calls + 1;
-                  node.total_ns <-
-                    Int64.add node.total_ns (Int64.sub e.ts b.ts);
-                  node.alloc_w <- node.alloc_w +. (e.alloc -. b.alloc);
-                  stack := rest;
-                  starts := brest
-              | _ -> () (* unbalanced: ignore, the validator reports it *))
-          | Instant -> ())
-        tr.t_events;
-      let rec print indent node =
-        List.iter
-          (fun name ->
-            let child = Hashtbl.find node.children name in
-            Buffer.add_string buffer
-              (Printf.sprintf "%s%-*s %8d× %10.3f ms %12.0f w\n" indent
-                 (max 1 (30 - String.length indent))
-                 name child.calls
-                 (Int64.to_float child.total_ns /. 1e6)
-                 child.alloc_w);
-            print (indent ^ "  ") child)
-          (List.rev node.order)
-      in
-      print "  " root;
-      Array.iteri
-        (fun i v ->
-          if v <> 0 then
-            Buffer.add_string buffer
-              (Printf.sprintf "  #%-28s %10d\n"
-                 (Counter.slug (List.nth Counter.all i))
-                 v))
-        tr.t_counters;
-      if tr.t_dropped > 0 then
-        Buffer.add_string buffer
-          (Printf.sprintf "  (%d events dropped at the %d-event track cap)\n"
-             tr.t_dropped max_events))
-    s.tracks;
-  Buffer.contents buffer
 
 let print_counter_table ?(oc = stderr) totals =
   let nonzero = List.filter (fun (_, v) -> v <> 0) totals in

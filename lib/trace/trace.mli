@@ -57,8 +57,6 @@ val incr : Counter.t -> unit
 val counter_totals : unit -> (Counter.t * int) list
 (** Lifetime totals summed over every track of every domain. *)
 
-val reset_counters : unit -> unit
-
 val counters_snapshot : unit -> int array
 (** Copy of the calling domain's current track counters,
     [Counter.index]-indexed.  Inside {!with_track} the track starts at
@@ -116,10 +114,6 @@ val stop : unit -> session
 val session_counter_totals : session -> (Counter.t * int) list
 
 (** {1 Rendering} *)
-
-val to_text : session -> string
-(** Compact per-track call tree: span path, call count, total wall time,
-    allocated words; then the track's non-zero counters. *)
 
 val print_counter_table : ?oc:out_channel -> (Counter.t * int) list -> unit
 (** Prints the non-zero counters with their glossary lines (the `-s`

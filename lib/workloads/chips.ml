@@ -231,11 +231,11 @@ let random_logic_section b rng ~cells ~wires ~x0 ~y0 =
      any partitioner, whereas plain boxes can be split at window cuts *)
   cell_elems @ wire_elems
 
-let random_logic ?lambda ?wires ~cells ~seed () =
+let random_logic ?lambda ~cells ~seed () =
   let b = Builder.create ?lambda () in
   let rng = Rng.create seed in
-  let wires = match wires with Some w -> w | None -> cells / 2 in
-  Builder.file b (random_logic_section b rng ~cells ~wires ~x0:0 ~y0:0)
+  Builder.file b
+    (random_logic_section b rng ~cells ~wires:(cells / 2) ~x0:0 ~y0:0)
 
 (* ------------------------------------------------------------------ *)
 (* Paper-chip recipes                                                   *)

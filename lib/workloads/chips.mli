@@ -41,7 +41,7 @@ val ram_array : ?lambda:int -> rows:int -> cols:int -> unit -> Ace_cif.Ast.file
 val datapath : ?lambda:int -> bits:int -> stages:int -> unit -> Ace_cif.Ast.file
 
 val random_logic :
-  ?lambda:int -> ?wires:int -> cells:int -> seed:int -> unit -> Ace_cif.Ast.file
+  ?lambda:int -> cells:int -> seed:int -> unit -> Ace_cif.Ast.file
 
 (** A paper-chip recipe.  [build ~scale] generates the design with device
     count ≈ [devices_target × scale]. *)

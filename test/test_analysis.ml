@@ -12,15 +12,15 @@ let inverter () = extract_workload (Ace_workloads.Chips.single_inverter ())
 let chain n = extract_workload (Ace_workloads.Chips.inverter_chain ~n ())
 
 let has_code code findings =
-  List.exists (fun (f : Static_check.finding) -> f.code = code) findings
+  List.exists (fun (f : Ace_lint.Finding.t) -> f.code = code) findings
 
 (* ------------------------------------------------------------------ *)
 (* Static checker                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_clean_inverter () =
-  let findings = Static_check.check (inverter ()) in
-  let errors, _, _ = Static_check.summarize findings in
+  let findings = Ace_lint.Engine.run (inverter ()) in
+  let errors, _, _ = Ace_lint.Finding.summarize findings in
   check_int "no errors" 0 errors;
   check "no ratio complaint (k = 4)" false (has_code "ratio" findings)
 
@@ -40,7 +40,7 @@ let test_power_short () =
           c.Circuit.nets;
     }
   in
-  check "short reported" true (has_code "power-short" (Static_check.check shorted))
+  check "short reported" true (has_code "power-short" (Ace_lint.Engine.run shorted))
 
 let test_bad_ratio () =
   let c = inverter () in
@@ -57,7 +57,7 @@ let test_bad_ratio () =
           c.Circuit.devices;
     }
   in
-  check "ratio reported" true (has_code "ratio" (Static_check.check weak))
+  check "ratio reported" true (has_code "ratio" (Ace_lint.Engine.run weak))
 
 let test_malformed_device () =
   let c = inverter () in
@@ -81,7 +81,7 @@ let test_malformed_device () =
           |];
     }
   in
-  check "malformed reported" true (has_code "malformed" (Static_check.check broken))
+  check "malformed reported" true (has_code "malformed" (Ace_lint.Engine.run broken))
 
 let test_undriven_gate () =
   let c = inverter () in
@@ -102,7 +102,7 @@ let test_undriven_gate () =
           c.Circuit.devices;
     }
   in
-  let findings = Static_check.check floating in
+  let findings = Ace_lint.Engine.run floating in
   check "floating gate reported" true (has_code "floating-gate" findings)
 
 let test_stuck_node () =
@@ -127,13 +127,13 @@ let test_stuck_node () =
         |];
     }
   in
-  check "stuck reported" true (has_code "stuck" (Static_check.check c))
+  check "stuck reported" true (has_code "stuck" (Ace_lint.Engine.run c))
 
 let test_missing_rails () =
   let c = Ace_core.Extractor.extract_boxes
       [ (Ace_tech.Layer.Metal, Tutil.box ~l:0 ~b:0 ~r:4 ~t:4) ]
   in
-  let findings = Static_check.check c in
+  let findings = Ace_lint.Engine.run c in
   check "rail skip reported" true (has_code "no-rail" findings);
   check "isolated net reported" true (has_code "isolated" findings)
 

@@ -74,22 +74,22 @@ let test_compose_net_across_seam () =
   let wa = Box.make ~l:0 ~b:0 ~r:10 ~t:10 in
   let wb = Box.make ~l:10 ~b:0 ~r:20 ~t:10 in
   let fa =
-    Ace_hext.Fragment.leaf ~next_id:0 ~window:wa
+    Ace_core.Fragment.leaf ~next_id:0 ~window:wa
       ~boxes:[ (Layer.Metal, Box.make ~l:2 ~b:4 ~r:10 ~t:6) ]
       ~labels:[]
   in
   let fb =
-    Ace_hext.Fragment.leaf ~next_id:1 ~window:wb
+    Ace_core.Fragment.leaf ~next_id:1 ~window:wb
       ~boxes:[ (Layer.Metal, Box.make ~l:10 ~b:4 ~r:18 ~t:6) ]
       ~labels:[]
   in
-  let f = Ace_hext.Fragment.compose ~next_id:2 fa fb ~offset:(Point.make 10 0) in
-  let top = Ace_hext.Fragment.finalize ~next_id:3 f in
+  let f = Ace_core.Fragment.compose ~next_id:2 fa fb ~offset:(Point.make 10 0) in
+  let top = Ace_core.Fragment.finalize ~next_id:3 f in
   let h =
     {
       Hier.parts =
-        [ fa.Ace_hext.Fragment.part; fb.Ace_hext.Fragment.part;
-          f.Ace_hext.Fragment.part; { top with Hier.part_name = "Top" } ];
+        [ fa.Ace_core.Fragment.part; fb.Ace_core.Fragment.part;
+          f.Ace_core.Fragment.part; { top with Hier.part_name = "Top" } ];
       top = "Top";
     }
   in
@@ -113,30 +113,30 @@ let test_compose_partial_transistor () =
       boxes
   in
   let fa =
-    Ace_hext.Fragment.leaf ~next_id:0 ~window:wa ~boxes:(clip wa) ~labels:[]
+    Ace_core.Fragment.leaf ~next_id:0 ~window:wa ~boxes:(clip wa) ~labels:[]
   in
   let fb =
-    Ace_hext.Fragment.leaf ~next_id:1 ~window:wb ~boxes:(clip wb) ~labels:[]
+    Ace_core.Fragment.leaf ~next_id:1 ~window:wb ~boxes:(clip wb) ~labels:[]
   in
-  check_int "a has a partial" 1 (List.length fa.Ace_hext.Fragment.partials);
-  check_int "b has a partial" 1 (List.length fb.Ace_hext.Fragment.partials);
+  check_int "a has a partial" 1 (List.length fa.Ace_core.Fragment.partials);
+  check_int "b has a partial" 1 (List.length fb.Ace_core.Fragment.partials);
   check_int "a has no completed device" 0
-    (List.length fa.Ace_hext.Fragment.part.Hier.devices);
-  let f = Ace_hext.Fragment.compose ~next_id:2 fa fb ~offset:(Point.make 9 0) in
-  check_int "knit completes the device" 1 (List.length f.Ace_hext.Fragment.part.Hier.devices);
-  check_int "no partials left" 0 (List.length f.Ace_hext.Fragment.partials);
-  (match f.Ace_hext.Fragment.part.Hier.devices with
+    (List.length fa.Ace_core.Fragment.part.Hier.devices);
+  let f = Ace_core.Fragment.compose ~next_id:2 fa fb ~offset:(Point.make 9 0) in
+  check_int "knit completes the device" 1 (List.length f.Ace_core.Fragment.part.Hier.devices);
+  check_int "no partials left" 0 (List.length f.Ace_core.Fragment.partials);
+  (match f.Ace_core.Fragment.part.Hier.devices with
   | [ d ] ->
       check_int "width" 4 d.Hier.width;
       check_int "length" 4 d.Hier.length
   | _ -> assert false);
   (* and the whole thing equals the flat extraction *)
-  let top = Ace_hext.Fragment.finalize ~next_id:3 f in
+  let top = Ace_core.Fragment.finalize ~next_id:3 f in
   let h =
     {
       Hier.parts =
-        [ fa.Ace_hext.Fragment.part; fb.Ace_hext.Fragment.part;
-          f.Ace_hext.Fragment.part; { top with Hier.part_name = "Top" } ];
+        [ fa.Ace_core.Fragment.part; fb.Ace_core.Fragment.part;
+          f.Ace_core.Fragment.part; { top with Hier.part_name = "Top" } ];
       top = "Top";
     }
   in
@@ -272,12 +272,9 @@ let test_regressions () =
       let design = design_of (Ace_cif.Parser.parse_string cif) in
       check name true (agree design);
       check (name ^ " (names)") true
-        (match
-           Compare.compare ~with_sizes:true ~with_names:true (flat design)
-             (fst (hext design))
-         with
-        | Compare.Equivalent -> true
-        | Compare.Distinct _ | Compare.Inconclusive _ -> false);
+        (Ace_lvs.Match.exact ~with_sizes:true ~with_names:true (flat design)
+           (fst (hext design))
+        = Ace_lvs.Match.Equivalent);
       check (name ^ " (tiny leaves)") true (agree ~leaf_limit:3 design);
       (* the baselines must agree on the same layouts *)
       check (name ^ " (raster)") true
@@ -316,11 +313,10 @@ let prop_random_designs_with_names =
     (fun file ->
       match design_of file with
       | exception Ace_cif.Design.Semantic_error _ -> true
-      | design -> (
-          let a = flat design and b = fst (hext design) in
-          match Compare.compare ~with_sizes:true ~with_names:true a b with
-          | Compare.Equivalent -> true
-          | Compare.Distinct _ | Compare.Inconclusive _ -> false))
+      | design ->
+          Ace_lvs.Match.exact ~with_sizes:true ~with_names:true (flat design)
+            (fst (hext design))
+          = Ace_lvs.Match.Equivalent)
 
 let prop_random_flat_layouts =
   Tutil.qtest ~count:100 "HEXT on flat layouts equals scanline"

@@ -1308,6 +1308,100 @@ let test_lvs_spans () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Exact equivalence                                                   *)
+
+(* A three-inverter chain on nets VDD 0, GND 1, IN 2, 3, 4 and [out] 5.
+   Refinement ends with every net and device in its own color class, so
+   [exact] verifies the induced mapping edge by edge. *)
+let chain3 ?(out = "OUT") () =
+  circuit
+    [
+      dev ~g:2 ~s:1 ~d:3 0;
+      dev ~dtype:Nmos.Depletion ~g:3 ~s:3 ~d:0 1;
+      dev ~g:3 ~s:1 ~d:4 2;
+      dev ~dtype:Nmos.Depletion ~g:4 ~s:4 ~d:0 3;
+      dev ~g:4 ~s:1 ~d:5 4;
+      dev ~dtype:Nmos.Depletion ~g:5 ~s:5 ~d:0 5;
+    ]
+    [
+      net ~names:[ "VDD" ] 0;
+      net ~names:[ "GND" ] 1;
+      net ~names:[ "IN" ] 2;
+      net 3;
+      net 4;
+      net ~names:[ out ] 5;
+    ]
+
+let verdict = Alcotest.testable (Fmt.of_to_string Match.verdict_to_string) ( = )
+
+let structural = function
+  | Match.Distinct (Match.Structure _) -> true
+  | Match.Equivalent | Match.Distinct _ -> false
+
+let test_exact_counts () =
+  let c = chain3 () in
+  let fewer = { c with Circuit.devices = Array.sub c.Circuit.devices 0 5 } in
+  Alcotest.check verdict "dropped device"
+    (Match.Distinct (Match.Device_counts (6, 5)))
+    (Match.exact c fewer);
+  check_string "device message" "distinct: device counts differ: 6 vs 5"
+    (Match.verdict_to_string (Match.exact c fewer));
+  (* a named net with no devices is a connected net; an unnamed one is
+     not *)
+  let with_net names =
+    { c with Circuit.nets = Array.append c.Circuit.nets [| net ~names 6 |] }
+  in
+  Alcotest.check verdict "named deviceless net"
+    (Match.Distinct (Match.Net_counts (6, 7)))
+    (Match.exact c (with_net [ "SPARE" ]));
+  check_string "net message" "connected net counts differ: 6 vs 7"
+    (Match.reason_to_string (Match.Net_counts (6, 7)));
+  Alcotest.check verdict "unnamed deviceless net" Match.Equivalent
+    (Match.exact c (with_net []))
+
+let test_exact_names () =
+  let c = chain3 () in
+  check "renamed net distinct under names" true
+    (structural (Match.exact ~with_names:true c (chain3 ~out:"Q" ())));
+  check "names compare case-sensitively" true
+    (structural (Match.exact ~with_names:true c (chain3 ~out:"out" ())));
+  Alcotest.check verdict "renamed net equivalent without names"
+    Match.Equivalent
+    (Match.exact c (chain3 ~out:"Q" ()))
+
+let test_exact_individuated () =
+  let c = chain3 () in
+  (* reverse the net and device numbering and swap every channel *)
+  let n = Array.length c.Circuit.nets and m = Array.length c.Circuit.devices in
+  let p i = n - 1 - i in
+  let renumbered =
+    {
+      c with
+      Circuit.nets = Array.init n (fun i -> c.Circuit.nets.(p i));
+      devices =
+        Array.init m (fun k ->
+            let (d : Circuit.device) = c.Circuit.devices.(m - 1 - k) in
+            { d with gate = p d.gate; source = p d.drain; drain = p d.source });
+    }
+  in
+  List.iter
+    (fun (with_sizes, with_names) ->
+      Alcotest.check verdict "renumbered copy" Match.Equivalent
+        (Match.exact ~with_sizes ~with_names c renumbered))
+    [ (false, false); (true, false); (false, true); (true, true) ];
+  (* the last pull-down's gate moves from net 4 to IN: same counts *)
+  let rewired =
+    {
+      c with
+      Circuit.devices =
+        Array.mapi
+          (fun k (d : Circuit.device) -> if k = 4 then { d with gate = 2 } else d)
+          c.Circuit.devices;
+    }
+  in
+  check "rewired copy distinct" true (structural (Match.exact c rewired))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "lvs"
@@ -1342,6 +1436,12 @@ let () =
           Alcotest.test_case "canonicalize swapped nand" `Quick
             test_canonicalize_swapped_nand;
           Alcotest.test_case "max findings" `Quick test_max_findings;
+        ] );
+      ( "exact",
+        [
+          Alcotest.test_case "counts" `Quick test_exact_counts;
+          Alcotest.test_case "names" `Quick test_exact_names;
+          Alcotest.test_case "individuated" `Quick test_exact_individuated;
         ] );
       ( "verilog",
         [

@@ -828,8 +828,8 @@ let prop_sexp_roundtrip =
 let test_compare_counts () =
   let c = inverter_circuit () in
   let fewer = { c with Circuit.devices = [| c.Circuit.devices.(0) |] } in
-  match Compare.compare c fewer with
-  | Compare.Distinct _ -> ()
+  match Ace_lvs.Match.exact c fewer with
+  | Ace_lvs.Match.Distinct (Ace_lvs.Match.Device_counts (2, 1)) -> ()
   | _ -> Alcotest.fail "device count mismatch not reported"
 
 let () =

@@ -12,7 +12,8 @@ let design_of ast = Ace_cif.Design.of_ast ast
 let flat design = Ace_core.Extractor.extract design
 
 let equiv a b =
-  Ace_netlist.Compare.equivalent ~with_sizes:true ~with_names:true a b
+  Ace_lvs.Match.exact ~with_sizes:true ~with_names:true a b
+  = Ace_lvs.Match.Equivalent
 
 let data_design file =
   let dir =
@@ -24,6 +25,11 @@ let data_design file =
 (* ------------------------------------------------------------------ *)
 (* Strip partition                                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* The full-height vertical strips of the [-j]-only path: one row of
+   tiles. *)
+let strips ~jobs bb =
+  Array.map (fun col -> col.(0)) (Parallel.tile_windows ~cols:jobs ~rows:1 bb)
 
 let strips_tile (bb : Box.t) wins =
   Array.length wins >= 1
@@ -40,7 +46,7 @@ let test_windows_tile () =
   let bb = Box.make ~l:(-7) ~b:3 ~r:100 ~t:50 in
   List.iter
     (fun jobs ->
-      let wins = Parallel.windows ~jobs bb in
+      let wins = strips ~jobs bb in
       check "tiles" true (strips_tile bb wins);
       check "at most jobs" true (Array.length wins <= jobs))
     [ 1; 2; 3; 4; 7; 16 ]
@@ -48,7 +54,7 @@ let test_windows_tile () =
 let test_windows_narrow () =
   (* a 3-wide chip cannot support 4 strips: one strip per x unit, max *)
   let bb = Box.make ~l:0 ~b:0 ~r:3 ~t:9 in
-  let wins = Parallel.windows ~jobs:4 bb in
+  let wins = strips ~jobs:4 bb in
   check_int "three strips" 3 (Array.length wins);
   check "tiles" true (strips_tile bb wins)
 
@@ -62,7 +68,7 @@ let prop_windows =
       let* jobs = int_range 1 9 in
       return (Box.make ~l ~b ~r:(l + w) ~t:(b + h), jobs))
     (fun (bb, jobs) ->
-      let wins = Parallel.windows ~jobs bb in
+      let wins = strips ~jobs bb in
       strips_tile bb wins && Array.length wins <= jobs)
 
 (* ------------------------------------------------------------------ *)
@@ -110,12 +116,7 @@ let test_tile_windows () =
   let grid = Parallel.tile_windows ~cols:5 ~rows:5 tiny in
   check_int "clamped cols" 3 (Array.length grid);
   check_int "clamped rows" 2 (Array.length grid.(0));
-  check "clamped grid tiles" true (grid_tiles tiny grid);
-  (* strips are the 1-row special case of the grid *)
-  let strips = Parallel.windows ~jobs:4 bb in
-  let grid = Parallel.tile_windows ~cols:4 ~rows:1 bb in
-  check "windows = 1-row grid" true
-    (Array.to_list strips = Array.to_list (Array.map (fun c -> c.(0)) grid))
+  check "clamped grid tiles" true (grid_tiles tiny grid)
 
 let prop_tile_windows =
   Tutil.qtest ~count:200 "tile grids tile any box"

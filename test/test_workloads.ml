@@ -27,7 +27,7 @@ let test_inverter_counts () =
 let test_inverter_is_clean () =
   let c = extract (Ace_workloads.Chips.single_inverter ()) in
   let errors, warnings, _ =
-    Ace_analysis.Static_check.summarize (Ace_analysis.Static_check.check c)
+    Ace_lint.Finding.summarize (Ace_lint.Engine.run c)
   in
   check_int "no errors" 0 errors;
   check_int "no warnings" 0 warnings
@@ -178,12 +178,11 @@ let test_mesh_is_paper_worst_case_structure () =
 let test_datapath_connectivity () =
   (* each slice is an independent chain; slices do not short together *)
   let c = extract (Ace_workloads.Chips.datapath ~bits:3 ~stages:4 ()) in
-  let findings = Ace_analysis.Static_check.check c in
+  let findings = Ace_lint.Engine.run c in
   (* rails are unnamed in the datapath, so only rail-skip infos appear *)
   check "no errors" true
     (List.for_all
-       (fun (f : Ace_analysis.Static_check.finding) ->
-         f.severity <> Ace_analysis.Static_check.Error)
+       (fun (f : Ace_lint.Finding.t) -> f.severity <> Ace_lint.Finding.Error)
        findings)
 
 let test_chain_gate_recognition () =

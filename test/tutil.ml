@@ -138,10 +138,7 @@ let even_layout layout =
     layout
 
 let circuit_equal ?with_sizes a b =
-  match Ace_netlist.Compare.compare ?with_sizes a b with
-  | Ace_netlist.Compare.Equivalent -> true
-  | Ace_netlist.Compare.Distinct _ | Ace_netlist.Compare.Inconclusive _ ->
-      false
+  Ace_lvs.Match.exact ?with_sizes a b = Ace_lvs.Match.Equivalent
 
 (* Random abstract circuits (not from layout): for wirelist/SPICE/compare
    round-trip properties. *)

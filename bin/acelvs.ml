@@ -67,15 +67,14 @@ let load_reference ~format ~want_view ~vdd ~gnd path =
       if verilog then
         let c, diags = Lvs.Verilog.parse ~name ~vdd ~gnd text in
         (Some c, None, text, diags)
-      else (
-          match Lvs.Reference.load ~name ~gnd text with
-          | Ok (c, diags) ->
-              let view =
-                if want_view then Lvs.Reference.hier_view ~name ~gnd text
-                else None
-              in
-              (Some c, view, text, diags)
-          | Error d -> (None, None, text, [ d ])))
+      else
+        let loaded, view =
+          if want_view then Lvs.Reference.load_view ~name ~gnd text
+          else (Lvs.Reference.load ~name ~gnd text, None)
+        in
+        match loaded with
+        | Ok (c, diags) -> (Some c, view, text, diags)
+        | Error d -> (None, None, text, [ d ]))
 
 let print_rules () =
   Printf.printf "%-26s %-8s %s\n" "CODE" "LEVEL" "SUMMARY";

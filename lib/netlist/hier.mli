@@ -88,6 +88,27 @@ type activation = {
     expansion (instantiation order). *)
 val flatten_ext : t -> Circuit.t * activation list
 
+(** {1 Indexed access}
+
+    A hierarchy's parts by name, for callers that look parts up once per
+    instance or flatten several sub-hierarchies of one hierarchy. *)
+
+type index
+
+(** [index t] indexes [t]'s parts by name; the first definition of a name
+    wins, as in {!part}.  It validates nothing. *)
+val index : t -> index
+
+(** [find ix name] is {!part} [t name], in constant time. *)
+val find : index -> string -> part
+
+(** [flatten_sub ix name] flattens the sub-hierarchy under part [name]:
+    the circuit {!flatten} gives for [{ t with top = name }] (named
+    [name]), and the flat net of each of that part's local nets.  The
+    parts are validated once per index, on the first call; raises
+    {!Error} as {!flatten} does. *)
+val flatten_sub : index -> string -> Circuit.t * int array
+
 (** Render in the Figure 2-2 dialect. *)
 val to_string : t -> string
 

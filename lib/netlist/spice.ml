@@ -56,6 +56,7 @@ let to_file ?gnd path c =
 (* ------------------------------------------------------------------ *)
 
 let of_hier (h : Hier.t) =
+  let parts = Hier.index h in
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "* hierarchical deck for %s — extracted by hext\n" h.Hier.top;
   Printf.bprintf buf
@@ -81,7 +82,7 @@ let of_hier (h : Hier.t) =
       part.Hier.devices;
     List.iteri
       (fun k (inst : Hier.instance) ->
-        let child = Hier.part h inst.Hier.part_name in
+        let child = Hier.find parts inst.Hier.part_name in
         (* pin order = child exports; actual = parent net bound to it,
            fresh local node when unbound *)
         let actuals =
@@ -108,6 +109,6 @@ let of_hier (h : Hier.t) =
         Printf.bprintf buf ".ENDS %s\n" (sanitize part.Hier.part_name)
       end)
     h.Hier.parts;
-  emit_body ~indent:"" (Hier.part h h.Hier.top);
+  emit_body ~indent:"" (Hier.find parts h.Hier.top);
   Buffer.add_string buf ".END\n";
   Buffer.contents buf

@@ -400,31 +400,32 @@ let do_flow t (r : Proto.request) front =
    [layout ()] is the flat compare's extracted circuit. *)
 let lvs_payload ~cancel ~vdd ~gnd ~hier ~ref_format ~max_findings ~layout
     design reference_text =
-  let loaded =
+  let loaded, ref_view =
     match ref_format with
     | "verilog" ->
-        Ok
-          (Ace_lvs.Verilog.parse ~name:"reference" ~vdd ~gnd reference_text)
+        ( Ok
+            (Ace_lvs.Verilog.parse ~name:"reference" ~vdd ~gnd reference_text),
+          None )
     | _ -> (
-        match
-          Ace_lvs.Reference.load ~name:"reference" ~gnd reference_text
-        with
-        | Ok x -> Ok x
+        let loaded, view =
+          if hier then
+            Ace_lvs.Reference.load_view ~name:"reference" ~gnd reference_text
+          else
+            (Ace_lvs.Reference.load ~name:"reference" ~gnd reference_text, None)
+        in
+        match loaded with
+        | Ok x -> (Ok x, view)
         | Error d ->
-            Error
-              (Printf.sprintf "unreadable reference netlist: %s"
-                 d.Diag.message))
+            ( Error
+                (Printf.sprintf "unreadable reference netlist: %s"
+                   d.Diag.message),
+              None ))
   in
   match loaded with
   | Error _ as e -> e
   | Ok (reference, ref_diags) ->
       let r, hstats =
         if hier then begin
-          let ref_view =
-            if ref_format = "verilog" then None
-            else Ace_lvs.Reference.hier_view ~name:"reference" ~gnd
-                   reference_text
-          in
           let layout, _ = Ace_hext.Hext.extract design in
           let hr =
             Ace_lvs.Hier.run ~cancel ~vdd ~gnd ~max_findings ~layout

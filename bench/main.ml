@@ -11,9 +11,11 @@
 
    Absolute numbers come from this machine, not a VAX-11/780; the tables
    reproduce the paper's *shape*: who wins, by what factor, and how cost
-   scales.  `--scale` shrinks the chips (default 0.15 of the paper's device
-   counts); `--full` uses the paper's sizes.  One Bechamel Test.make per
-   table runs under `--bechamel`. *)
+   scales.  Each table computes its shape check from its own numbers (see
+   [shape]).  `--scale` shrinks the chips (default 0.15 of the paper's
+   device counts); `--full` uses the paper's sizes.  One Bechamel
+   Test.make per table runs under `--bechamel`.  Wall times of the real
+   CLIs, end to end and per layer, are bench/e2e's job. *)
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -26,6 +28,20 @@ let mmss seconds =
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
+
+(* A table ends with [shape ~gated claim broken]: each row in [broken]
+   departs from the paper's shape and prints as MISMATCH.  Shapes built on
+   work counters are deterministic for a build, so [~gated:true] also
+   makes the run exit 1; shapes built on wall times are only reported. *)
+let gated_failures = ref []
+
+let shape ~gated claim broken =
+  List.iter (fun row -> Printf.printf "MISMATCH %s\n" row) broken;
+  if gated && broken <> [] then
+    gated_failures := (claim, broken) :: !gated_failures;
+  Printf.printf "shape check: %s — %s\n" claim
+    (if broken = [] then "holds"
+     else Printf.sprintf "%d row(s) MISMATCH" (List.length broken))
 
 let build_suite scale =
   List.map
@@ -81,33 +97,46 @@ let ace_table_5_2 suite =
   header "ACE Table 5-2: Comparison with Partlist (raster) and Cifplot";
   Printf.printf "%-10s %9s | %10s %12s %12s\n" "chip" "devices" "ACE"
     "Partlist" "Cifplot";
-  List.iter
-    (fun ((r : Ace_workloads.Chips.recipe), design, _) ->
-      if
-        List.exists
-          (fun (c : Ace_workloads.Chips.recipe) -> c.chip_name = r.chip_name)
-          Ace_workloads.Chips.comparison_suite
-      then begin
-        let circuit, t_ace = time (fun () -> Ace_core.Extractor.extract design) in
-        let raster =
-          if not (List.mem r.chip_name partlist_skips) then
-            let _, t = time (fun () -> Ace_baseline.Raster.extract ~grid:250 design) in
-            mmss t
-          else "-"
-        in
-        let region =
-          if not (List.mem r.chip_name cifplot_skips) then
-            let _, t = time (fun () -> Ace_baseline.Region.extract design) in
-            mmss t
-          else "-"
-        in
-        Printf.printf "%-10s %9d | %10s %12s %12s\n" r.chip_name
-          (Ace_netlist.Circuit.device_count circuit)
-          (mmss t_ace) raster region
-      end)
-    suite;
-  print_endline
-    "shape check: ACE leads both, and Cifplot's gap grows with chip size";
+  let broken =
+    List.filter_map
+      (fun ((r : Ace_workloads.Chips.recipe), design, _) ->
+        if
+          List.exists
+            (fun (c : Ace_workloads.Chips.recipe) -> c.chip_name = r.chip_name)
+            Ace_workloads.Chips.comparison_suite
+        then begin
+          let circuit, t_ace = time (fun () -> Ace_core.Extractor.extract design) in
+          let baseline skips extract =
+            if List.mem r.chip_name skips then None
+            else Some (snd (time (fun () -> extract design)))
+          in
+          let raster =
+            baseline partlist_skips (Ace_baseline.Raster.extract ~grid:250)
+          in
+          let region = baseline cifplot_skips Ace_baseline.Region.extract in
+          let cell = function Some t -> mmss t | None -> "-" in
+          Printf.printf "%-10s %9d | %10s %12s %12s\n" r.chip_name
+            (Ace_netlist.Circuit.device_count circuit)
+            (mmss t_ace) (cell raster) (cell region);
+          let beaten =
+            List.filter_map
+              (function
+                | name, Some t when t <= t_ace ->
+                    Some (Printf.sprintf "%s %.4f s" name t)
+                | _ -> None)
+              [ ("Partlist", raster); ("Cifplot", region) ]
+          in
+          if beaten = [] then None
+          else
+            Some
+              (Printf.sprintf "%s: ACE %.4f s, not faster than %s" r.chip_name
+                 t_ace (String.concat ", " beaten))
+        end
+        else None)
+      suite
+  in
+  shape ~gated:false "ACE is fastest on every row (walls, reported only)"
+    broken;
   print_endline
     "(Partlist pays per grid square; Cifplot rescans all boxes per stop)"
 
@@ -136,22 +165,17 @@ let ace_time_distribution suite =
   Ace_core.Timing.add stats.Ace_core.Extractor.timing
     Ace_core.Timing.Front_end t_parse;
   let dist = Ace_core.Timing.distribution stats.Ace_core.Extractor.timing in
-  (* the paper's §5 percentages; Stitch is ours (parallel runs only) and
-     stays silent in a flat distribution table *)
+  (* the paper's §5 percentages *)
   let paper = function
-    | Ace_core.Timing.Front_end -> Some 40.0
-    | Ace_core.Timing.List_update -> Some 15.0
-    | Ace_core.Timing.Devices -> Some 20.0
-    | Ace_core.Timing.Output -> Some 10.0
-    | Ace_core.Timing.Stitch -> None
+    | Ace_core.Timing.Front_end -> 40.0
+    | Ace_core.Timing.List_update -> 15.0
+    | Ace_core.Timing.Devices -> 20.0
+    | Ace_core.Timing.Output -> 10.0
   in
   List.iter
     (fun (phase, pct) ->
-      match paper phase with
-      | Some paper_pct ->
-          Printf.printf "  %4.0f%%  (paper: %2.0f%%)  %s\n" pct paper_pct
-            (Ace_core.Timing.phase_name phase)
-      | None -> ())
+      Printf.printf "  %4.0f%%  (paper: %2.0f%%)  %s\n" pct (paper phase)
+        (Ace_core.Timing.phase_name phase))
     dist;
   print_endline "  (the paper's remaining 15% is 'miscellaneous')"
 
@@ -163,22 +187,41 @@ let ace_model_check () =
   header "ACE §4: expected-time model — scanline population and stops vs sqrt N";
   Printf.printf "%-12s %9s %10s %9s %12s %9s\n" "mesh" "boxes"
     "max-active" "stops" "active/sqrtN" "stops/sqrtN";
-  List.iter
-    (fun n ->
-      let design =
-        Ace_cif.Design.of_ast (Ace_workloads.Arrays.mesh ~rows:n ~cols:n ())
-      in
-      let _, stats = Ace_core.Extractor.extract_with_stats design in
-      let sqrt_n = sqrt (float_of_int stats.Ace_core.Extractor.boxes) in
-      Printf.printf "%-12s %9d %10d %9d %12.2f %9.2f\n"
-        (Printf.sprintf "%dx%d" n n)
-        stats.boxes stats.max_active stats.stops
-        (float_of_int stats.max_active /. sqrt_n)
-        (float_of_int stats.stops /. sqrt_n))
-    [ 16; 32; 64; 128 ];
-  print_endline
-    "shape check: both ratios stay constant as N grows 64x — the O(sqrt N)\n\
-    \  scanline population and stop count the linear-time argument rests on";
+  let rows =
+    List.map
+      (fun n ->
+        let design =
+          Ace_cif.Design.of_ast (Ace_workloads.Arrays.mesh ~rows:n ~cols:n ())
+        in
+        let _, stats = Ace_core.Extractor.extract_with_stats design in
+        let sqrt_n = sqrt (float_of_int stats.Ace_core.Extractor.boxes) in
+        let mesh = Printf.sprintf "%dx%d" n n in
+        let active = float_of_int stats.max_active /. sqrt_n
+        and stops = float_of_int stats.stops /. sqrt_n in
+        Printf.printf "%-12s %9d %10d %9d %12.2f %9.2f\n" mesh stats.boxes
+          stats.max_active stats.stops active stops;
+        (mesh, active, stops))
+      [ 16; 32; 64; 128 ]
+  in
+  (* "constant" = within 5% of the smallest ratio over the meshes *)
+  let off label ratio =
+    let lo =
+      List.fold_left (fun a row -> Float.min a (ratio row)) infinity rows
+    in
+    List.filter_map
+      (fun ((mesh, _, _) as row) ->
+        if ratio row > 1.05 *. lo then
+          Some
+            (Printf.sprintf "%s: %s %.2f, more than 5%% above %.2f" mesh label
+               (ratio row) lo)
+        else None)
+      rows
+  in
+  shape ~gated:true
+    "max-active/sqrtN and stops/sqrtN each stay within 5% as N grows 64x, \
+     the O(sqrt N) the linear-time argument rests on"
+    (off "active/sqrtN" (fun (_, a, _) -> a)
+    @ off "stops/sqrtN" (fun (_, _, s) -> s));
   print_endline "\nworkload statistics (Bentley/Haken/Hon-style):";
   List.iter
     (fun (r : Ace_workloads.Chips.recipe) ->
@@ -201,46 +244,87 @@ let hext_table_4_1 ~full () =
   in
   Printf.printf "%-14s %12s %12s %14s %10s\n" "N (cells)" "HEXT(s)"
     "HEXT-k(s)" "flat(s)" "composes";
-  List.iter
-    (fun n ->
-      let design =
-        Ace_cif.Design.of_ast (Ace_workloads.Arrays.square_array_tree ~cells:n ())
-      in
-      let (_, stats), t_hext = time (fun () -> Ace_hext.Hext.extract design) in
-      let _, t_flat = time (fun () -> Ace_core.Extractor.extract design) in
-      Printf.printf "%-14d %12.4f %12.4f %14.4f %10d\n" n t_hext
-        (max 0.0 (t_hext -. k))
-        t_flat stats.Ace_hext.Hext.compose_calls)
-    sizes;
-  print_endline
-    "shape check: each 4x in N roughly doubles HEXT-k (O(sqrt N)) while the \
-     flat extractor quadruples (O(N)) — the paper's 1.6/3.2/6.8/12.7 column"
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
+  let rows =
+    List.map
+      (fun n ->
+        let design =
+          Ace_cif.Design.of_ast
+            (Ace_workloads.Arrays.square_array_tree ~cells:n ())
+        in
+        let (_, stats), t_hext = time (fun () -> Ace_hext.Hext.extract design) in
+        let _, t_flat = time (fun () -> Ace_core.Extractor.extract design) in
+        let hext_k = max 0.0 (t_hext -. k) in
+        let composes = stats.Ace_hext.Hext.compose_calls in
+        Printf.printf "%-14d %12.4f %12.4f %14.4f %10d\n" n t_hext hext_k t_flat
+          composes;
+        (n, hext_k, t_flat, composes))
+      sizes
+  in
+  shape ~gated:true "composes = log2 N on every row, one per level of the array"
+    (List.filter_map
+       (fun (n, _, _, composes) ->
+         if composes = log2 n then None
+         else
+           Some
+             (Printf.sprintf "N=%d: %d composes, log2 N = %d" n composes
+                (log2 n)))
+       rows);
+  (* the wall exponents beside it: mean growth per 4x step past N = 1 *)
+  match List.tl rows with
+  | (_, k0, f0, _) :: (_ :: _ as rest) ->
+      let _, k1, f1, _ = List.nth rest (List.length rest - 1) in
+      let per_step a b = (b /. a) ** (1.0 /. float_of_int (List.length rest)) in
+      Printf.printf
+        "walls (not gated): each 4x in N multiplies HEXT-k by %.1f and flat by \
+         %.1f (paper: HEXT about 2, the 1.6/3.2/6.8/12.7 column; flat 4)\n"
+        (per_step k0 k1) (per_step f0 f1)
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* HEXT Tables 5-1 and 5-2                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* HEXT Table 5-1's winner per chip; the paper has no scheme81 row *)
+let hext_paper_winner =
+  [ ("cherry", "ACE"); ("dchip", "HEXT"); ("schip2", "ACE");
+    ("testram", "HEXT"); ("psc", "ACE"); ("riscb", "HEXT") ]
+
 let hext_tables_5 suite =
   header "HEXT Table 5-1: HEXT vs flat ACE per chip";
-  Printf.printf "%-10s %9s | %11s %11s %11s | %11s\n" "chip" "devices"
-    "front-end" "back-end" "HEXT total" "ACE flat";
+  Printf.printf "%-10s %9s | %11s %11s %11s | %11s | %6s %6s\n" "chip"
+    "devices" "front-end" "back-end" "HEXT total" "ACE flat" "winner" "paper";
   let per_chip =
     List.map
       (fun ((r : Ace_workloads.Chips.recipe), design, _) ->
-        let (hier, stats), t_hext = time (fun () -> Ace_hext.Hext.extract design) in
+        let (_, stats), t_hext = time (fun () -> Ace_hext.Hext.extract design) in
         let circuit, t_flat = time (fun () -> Ace_core.Extractor.extract design) in
         let devices = Ace_netlist.Circuit.device_count circuit in
-        ignore hier;
-        Printf.printf "%-10s %9d | %11s %11s %11s | %11s\n" r.chip_name devices
+        let winner = if t_hext < t_flat then "HEXT" else "ACE" in
+        let paper = List.assoc_opt r.chip_name hext_paper_winner in
+        Printf.printf "%-10s %9d | %11s %11s %11s | %11s | %6s %6s\n"
+          r.chip_name devices
           (mmss stats.Ace_hext.Hext.front_end_seconds)
           (mmss (Ace_hext.Hext.back_end_seconds stats))
-          (mmss t_hext) (mmss t_flat);
-        (r, stats, devices))
+          (mmss t_hext) (mmss t_flat) winner
+          (Option.value paper ~default:"-");
+        let broken =
+          match paper with
+          | Some p when p <> winner ->
+              Some
+                (Printf.sprintf "%s: %s wins (HEXT %.4f s, ACE %.4f s), the \
+                                 paper has %s"
+                   r.chip_name winner t_hext t_flat p)
+          | _ -> None
+        in
+        ((r, stats, devices), broken))
       suite
   in
-  print_endline
-    "shape check: HEXT wins big on the regular chips (testram, riscb) and \
-     loses on the irregular ones (cherry, schip2, psc) — the paper's split";
+  shape ~gated:false
+    "the winner matches the paper's on every chip it lists (walls, reported \
+     only)"
+    (List.filter_map snd per_chip);
+  let per_chip = List.map fst per_chip in
   header "HEXT Table 5-2: Analysis of the back-end";
   Printf.printf "%-10s %9s %10s %10s | %10s %10s %8s\n" "chip" "devices"
     "flat-calls" "composes" "back-end" "compose" "%compose";
@@ -409,293 +493,6 @@ let ablations scale =
     "  (finer quanta approximate sloped geometry better at more boxes)"
 
 (* ------------------------------------------------------------------ *)
-(* Parallel sharded extraction + BENCH_extract.json                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Minimal JSON writer (the repo's convention: no JSON dependency). *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-let json_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ v) fields) ^ "}"
-
-let json_arr items = "[" ^ String.concat "," items ^ "]"
-let json_float f = Printf.sprintf "%.6f" f
-
-let json_phases (t : Ace_core.Timing.t) =
-  json_obj
-    (List.map
-       (fun p ->
-         (Ace_core.Timing.phase_slug p, json_float (Ace_core.Timing.seconds t p)))
-       Ace_core.Timing.all_phases)
-
-let json_counters counters =
-  json_obj
-    (List.map
-       (fun (c, v) -> (Ace_trace.Trace.Counter.slug c, string_of_int v))
-       counters)
-
-let json_shard (s : Ace_core.Parallel.shard) =
-  json_obj
-    [
-      ("l", string_of_int s.s_window.Ace_geom.Box.l);
-      ("r", string_of_int s.s_window.Ace_geom.Box.r);
-      ("boxes", string_of_int s.s_boxes);
-      ("stops", string_of_int s.s_stops);
-      ("max_active", string_of_int s.s_max_active);
-      ("devices", string_of_int s.s_devices);
-      ("partial_devices", string_of_int s.s_partials);
-      ("seconds", json_float s.s_seconds);
-      ("phases", json_phases s.s_timing);
-      ( "counters",
-        json_counters
-          (List.map
-             (fun c ->
-               (c, s.s_counters.(Ace_trace.Trace.Counter.index c)))
-             Ace_trace.Trace.Counter.all) );
-    ]
-
-(* Per-run counter contributions: the tracer's counters are cumulative
-   across the whole process, so a run's own numbers are the delta. *)
-let counter_deltas f =
-  let before = Ace_trace.Trace.counter_totals () in
-  let r = f () in
-  let after = Ace_trace.Trace.counter_totals () in
-  (r, List.map2 (fun (c, a) (_, b) -> (c, a - b)) after before)
-
-(* The 2-D grid with the same tile count as -j N strips, as square as N's
-   divisors allow: the tiled-vs-strip comparison holds work constant and
-   varies only the partition shape. *)
-let tile_grid jobs =
-  let r = ref 1 in
-  for d = 1 to jobs do
-    if jobs mod d = 0 && d * d <= jobs then r := d
-  done;
-  (jobs / !r, !r)
-
-let bench_extract suite ~jobs ~scale ~reps =
-  let tcols, trows = tile_grid jobs in
-  header
-    (Printf.sprintf
-       "Parallel tiled extraction: -j %d strips and %dx%d tiles vs flat -j 1"
-       jobs tcols trows);
-  Printf.printf "%-10s %9s %9s %10s %10s %10s %8s %9s %8s\n" "Name" "Devices"
-    "Boxes(k)" "j1"
-    (Printf.sprintf "j%d" jobs)
-    (Printf.sprintf "%dx%d" tcols trows)
-    "speedup" "stitch" "balance";
-  let cores = Domain.recommended_domain_count () in
-  let chips =
-    List.map
-      (fun ((r : Ace_workloads.Chips.recipe), design, _) ->
-        let ((c1, s1), t1), counters =
-          counter_deltas (fun () ->
-              time (fun () ->
-                  Ace_core.Parallel.extract_with_stats ~jobs:1 design))
-        in
-        (* best-of-reps: the minimum wall is the standard noise-robust
-           estimator, and what the regression gate compares *)
-        let t1 = ref t1 in
-        for _ = 2 to reps do
-          let _, t =
-            time (fun () -> Ace_core.Parallel.extract_with_stats ~jobs:1 design)
-          in
-          if t < !t1 then t1 := t
-        done;
-        let t1 = !t1 in
-        let (cn, sn), tn =
-          time (fun () -> Ace_core.Parallel.extract_with_stats ~jobs design)
-        in
-        let tn = ref tn in
-        for _ = 2 to reps do
-          let _, t =
-            time (fun () -> Ace_core.Parallel.extract_with_stats ~jobs design)
-          in
-          if t < !tn then tn := t
-        done;
-        let tn = !tn in
-        let (ct, st), tt =
-          time (fun () ->
-              Ace_core.Parallel.extract_with_stats ~jobs
-                ~tile:(tcols, trows) design)
-        in
-        let tt = ref tt in
-        for _ = 2 to reps do
-          let _, t =
-            time (fun () ->
-                Ace_core.Parallel.extract_with_stats ~jobs
-                  ~tile:(tcols, trows) design)
-          in
-          if t < !tt then tt := t
-        done;
-        let tt = !tt in
-        ignore ct;
-        (* With fewer cores than jobs the OS timeslices the domains, so
-           every spawned shard's wall clock spans the whole run and tells
-           us nothing.  Re-run the same shards sequentially to get
-           uncontended per-shard times for the concurrency projection. *)
-        let proj =
-          if cores >= jobs then sn
-          else
-            snd
-              (Ace_core.Parallel.extract_with_stats ~sequential:true ~jobs
-                 design)
-        in
-        let projt =
-          if cores >= jobs then st
-          else
-            snd
-              (Ace_core.Parallel.extract_with_stats ~sequential:true ~jobs
-                 ~tile:(tcols, trows) design)
-        in
-        let devices = Ace_netlist.Circuit.device_count c1 in
-        if Ace_netlist.Circuit.device_count cn <> devices then
-          Printf.printf
-            "  WARNING %s: -j %d found %d devices, flat found %d\n" r.chip_name
-            jobs
-            (Ace_netlist.Circuit.device_count cn)
-            devices;
-        let speedup = if tn > 0.0 then t1 /. tn else 0.0 in
-        Printf.printf "%-10s %9d %9.1f %10s %10s %10s %7.2fx %9s %8.2f\n"
-          r.chip_name devices
-          (float_of_int s1.Ace_core.Parallel.boxes /. 1000.0)
-          (mmss t1) (mmss tn) (mmss tt) speedup
-          (mmss sn.Ace_core.Parallel.stitch_seconds)
-          (Ace_core.Parallel.balance proj);
-        (r.chip_name, devices, s1, sn, proj, t1, tn, counters, st, projt, tt))
-      suite
-  in
-  (* On a machine with < jobs cores the measured wall time cannot show the
-     parallel win.  From the uncontended sequential shard times, slowest
-     shard + stitch is the projected -jN wall time with >= jobs cores.
-     Both numbers go into the JSON, clearly labelled. *)
-  let projected_wall (sn : Ace_core.Parallel.stats) =
-    List.fold_left (fun a (s : Ace_core.Parallel.shard) -> max a s.s_seconds)
-      0.0 sn.Ace_core.Parallel.shards
-    +. sn.Ace_core.Parallel.stitch_seconds
-  in
-  (match
-     List.fold_left
-       (fun best ((_, _, s1, _, _, _, _, _, _, _, _) as c) ->
-         match best with
-         | Some (_, _, bs1, _, _, _, _, _, _, _, _)
-           when bs1.Ace_core.Parallel.boxes >= s1.Ace_core.Parallel.boxes ->
-             best
-         | _ -> Some c)
-       None chips
-   with
-  | Some (name, _, _, _, proj, t1, tn, _, _, _, _) when tn > 0.0 ->
-      if cores >= jobs then
-        Printf.printf
-          "shape check: largest chip (%s) speeds up %.2fx at -j %d — the \
-           scan phases parallelize, the per-shard front-end overlaps in \
-           wall clock\n"
-          name (t1 /. tn) jobs
-      else
-        Printf.printf
-          "shape check: largest chip (%s): measured %.2fx (only %d core(s) — \
-           the domains timeslice); slowest-shard + stitch projects %.2fx \
-           with >= %d cores\n"
-          name (t1 /. tn) cores
-          (if projected_wall proj > 0.0 then t1 /. projected_wall proj else 0.0)
-          jobs
-  | _ -> ());
-  let fields =
-      [
-        ("schema", json_string "ace-bench-extract/4");
-        ("generator", json_string "bench/main.exe --table extract");
-        ("scale", json_float scale);
-        ("jobs", string_of_int jobs);
-        ("tile", json_string (Printf.sprintf "%dx%d" tcols trows));
-        ("cores", string_of_int cores);
-        ( "chips",
-          json_arr
-            (List.map
-               (fun ( name,
-                      devices,
-                      s1,
-                      (sn : Ace_core.Parallel.stats),
-                      (proj : Ace_core.Parallel.stats),
-                      t1,
-                      tn,
-                      counters,
-                      (st : Ace_core.Parallel.stats),
-                      (projt : Ace_core.Parallel.stats),
-                      tt ) ->
-                 json_obj
-                   [
-                     ("chip", json_string name);
-                     ("devices", string_of_int devices);
-                     ("boxes", string_of_int s1.Ace_core.Parallel.boxes);
-                     ("stops_j1", string_of_int s1.Ace_core.Parallel.stops);
-                     ( "max_active_j1",
-                       string_of_int s1.Ace_core.Parallel.max_active );
-                     ("wall_j1_seconds", json_float t1);
-                     ( "devices_phase_j1_seconds",
-                       json_float
-                         (Ace_core.Timing.seconds s1.Ace_core.Parallel.timing
-                            Ace_core.Timing.Devices) );
-                     ( "wall_jn_seconds", json_float tn);
-                     ("wall_tiled_seconds", json_float tt);
-                     ("speedup", json_float (if tn > 0.0 then t1 /. tn else 0.0));
-                     ( "tiled_speedup",
-                       json_float (if tt > 0.0 then t1 /. tt else 0.0) );
-                     ( "projected_wall_jn_seconds",
-                       json_float (projected_wall proj) );
-                     ( "projected_wall_tiled_seconds",
-                       json_float (projected_wall projt) );
-                     ( "tiled_stitch_seconds",
-                       json_float st.Ace_core.Parallel.stitch_seconds );
-                     ( "projected_speedup",
-                       json_float
-                         (if projected_wall proj > 0.0 then
-                            t1 /. projected_wall proj
-                          else 0.0) );
-                     ( "stitch_seconds",
-                       json_float sn.Ace_core.Parallel.stitch_seconds );
-                     ("balance", json_float (Ace_core.Parallel.balance proj));
-                     ("phases_j1", json_phases s1.Ace_core.Parallel.timing);
-                     ("phases_jn", json_phases sn.Ace_core.Parallel.timing);
-                     ("counters_j1", json_counters counters);
-                     ( "shards",
-                       json_arr
-                         (List.map json_shard proj.Ace_core.Parallel.shards) );
-                   ])
-               chips) );
-      ]
-  in
-  fields
-
-(* Assemble the telemetry file from whichever tables ran: the extract
-   table contributes the headline fields, the lvs and serve tables hang
-   their rows off optional top-level arrays so old /2 baselines still
-   gate the extract numbers. *)
-let write_bench_json ~json_path ~extract_fields ~lvs_rows ~serve_rows =
-  let fields =
-    extract_fields
-    @ (match lvs_rows with Some rows -> [ ("lvs", rows) ] | None -> [])
-    @ match serve_rows with Some rows -> [ ("serve", rows) ] | None -> []
-  in
-  let oc = open_out json_path in
-  output_string oc (json_obj fields);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" json_path
-
-(* ------------------------------------------------------------------ *)
 (* Trace overhead: extraction with recording off vs on                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -735,410 +532,6 @@ let bench_trace_overhead suite =
         (if t_off > 0.0 then t_on /. t_off else 0.0)
         events)
     suite
-
-(* ------------------------------------------------------------------ *)
-(* aced request latency: cold compute vs warm cache hit                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Drives the daemon's request handler in-process (no socket, no
-   subprocess) so the table isolates what the persistent cache buys: a
-   cold extract request parses, extracts and stores; a warm one reads
-   the entry back, checksums it and splices the payload bytes.  The
-   cold/warm ratio is the headline number for editor-integration
-   latency. *)
-let bench_serve suite =
-  header "aced request latency: cold extract vs warm cache hit";
-  let module Serve = Ace_serve.Server in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "aced-bench-%d" (Unix.getpid ()))
-  in
-  let cache =
-    match Ace_serve.Cache.open_dir ~faults:(Ace_serve.Faults.none ()) dir with
-    | Ok c -> c
-    | Error m -> failwith m
-  in
-  let t = Serve.create (Serve.config ~cache ()) in
-  let reps = 5 in
-  Printf.printf "%-10s %12s %12s %10s\n" "Name" "cold (ms)" "warm (ms)"
-    "cold/warm";
-  let rows =
-    List.map
-      (fun ((r : Ace_workloads.Chips.recipe), design, _) ->
-        let cif = Ace_cif.Writer.to_string (Ace_cif.Design.ast design) in
-        let req =
-          Ace_serve.Proto.obj
-            [
-              ("id", Ace_serve.Proto.str r.chip_name);
-              ("op", Ace_serve.Proto.str "extract");
-              ("cif", Ace_serve.Proto.str cif);
-            ]
-        in
-        let (), t_cold = time (fun () -> ignore (Serve.handle_line t req)) in
-        let (), t_warm =
-          time (fun () ->
-              for _ = 1 to reps do
-                ignore (Serve.handle_line t req)
-              done)
-        in
-        let t_warm = t_warm /. float_of_int reps in
-        Printf.printf "%-10s %12.2f %12.2f %9.1fx\n" r.chip_name
-          (t_cold *. 1000.0) (t_warm *. 1000.0)
-          (if t_warm > 0.0 then t_cold /. t_warm else 0.0);
-        json_obj
-          [
-            ("chip", json_string r.chip_name);
-            ("cold_seconds", json_float t_cold);
-            ("warm_seconds", json_float t_warm);
-          ])
-      suite
-  in
-  (* scratch cache: remove entries, then the directory *)
-  Array.iter
-    (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||]);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  json_arr rows
-
-(* ------------------------------------------------------------------ *)
-(* LVS: parse / reduce / compare walls per chip                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Each chip self-compares: the extracted circuit round-trips through the
-   SPICE writer into the reference parser and is then matched against
-   itself.  That exercises the full acelvs pipeline (parse, reduction,
-   seeded refinement) on realistic sizes with a known answer — the
-   verdict column must read "clean" — and splits the wall into the three
-   phases an interactive LVS run pays. *)
-let verdict_name = function
-  | Ace_lvs.Match.Clean -> "clean"
-  | Ace_lvs.Match.Mismatch -> "MISMATCH"
-  | Ace_lvs.Match.Inconclusive -> "inconclusive"
-
-let bench_lvs suite =
-  header "LVS: reference parse / reduce / compare (self-comparison)";
-  Printf.printf "%-10s %9s %11s %11s %11s %9s\n" "Name" "Devices"
-    "parse (s)" "reduce (s)" "compare (s)" "verdict";
-  List.iter
-    (fun ((r : Ace_workloads.Chips.recipe), design, _) ->
-      let circuit = Ace_core.Extractor.extract ~name:r.chip_name design in
-      let spice = Ace_netlist.Spice.to_string circuit in
-      let (reference, _diags), t_parse =
-        time (fun () -> Ace_lvs.Reference.parse spice)
-      in
-      let _, t_reduce = time (fun () -> Ace_lvs.Reduce.reduce circuit) in
-      let res, t_compare =
-        time (fun () -> Ace_lvs.Match.run ~layout:circuit ~reference ())
-      in
-      Printf.printf "%-10s %9d %11.4f %11.4f %11.4f %9s\n" r.chip_name
-        (Ace_netlist.Circuit.device_count circuit)
-        t_parse t_reduce t_compare
-        (verdict_name res.Ace_lvs.Match.outcome))
-    suite;
-  (* Hierarchical vs flat: each workload writes its own hierarchical deck
-     (Spice.of_hier) and is compared both ways.  On regular cell arrays
-     the hier path matches one cell summary and serves every other
-     instance from the memo; the verdicts must agree by construction
-     (Hier falls back to the flat comparator on any obstruction). *)
-  header "LVS: hierarchical vs flat compare (cell-summary memoization)";
-  Printf.printf "%-12s %9s %7s %10s %10s %8s %8s %6s %9s %7s\n" "workload"
-    "devices" "insts" "flat (s)" "hier (s)" "speedup" "matches" "hits"
-    "fallback" "agree";
-  (* an n x n array of one-transistor cells under a single TOP, the
-     data/mesh4x4 fixture generalized: one distinct cell summary, n*n-1
-     memo hits *)
-  let mesh_cells n =
-    let open Ace_netlist.Hier in
-    let cell =
-      {
-        part_name = "CELL";
-        net_count = 3;
-        exports = [ 0; 1; 2 ];
-        net_names = [ (0, "D"); (1, "G"); (2, "S") ];
-        devices =
-          [
-            {
-              dtype = Ace_tech.Nmos.Enhancement;
-              gate = 1;
-              source = 2;
-              drain = 0;
-              length = 500;
-              width = 500;
-              location = Ace_geom.Point.make 0 0;
-            };
-          ];
-        instances = [];
-      }
-    in
-    let col_net c s = (c * (n + 1)) + s in
-    let gate_net r = (n * (n + 1)) + r in
-    let net_count = (n * (n + 1)) + n in
-    let top =
-      {
-        part_name = "TOP";
-        net_count;
-        exports = [];
-        net_names =
-          List.init net_count (fun i ->
-              ( i,
-                if i < n * (n + 1) then
-                  Printf.sprintf "C%dS%d" (i / (n + 1)) (i mod (n + 1))
-                else Printf.sprintf "P%d" (i - (n * (n + 1))) ));
-        devices = [];
-        instances =
-          List.concat
-            (List.init n (fun r ->
-                 List.init n (fun c ->
-                     {
-                       part_name = "CELL";
-                       inst_name = Printf.sprintf "X%d_%d" r c;
-                       offset = Ace_geom.Point.make (c * 1000) (r * 1000);
-                       net_map =
-                         [
-                           (0, col_net c (r + 1));
-                           (1, gate_net r);
-                           (2, col_net c r);
-                         ];
-                     })))
-      }
-    in
-    { parts = [ cell; top ]; top = "TOP" }
-  in
-  let hext_of design = fst (Ace_hext.Hext.extract design) in
-  let workloads =
-    [
-      ("mesh4x4", mesh_cells 4);
-      ("mesh32x32", mesh_cells 32);
-      ( "random150",
-        hext_of
-          (Ace_cif.Design.of_ast
-             (Ace_workloads.Chips.random_logic ~cells:150 ~seed:3 ())) );
-    ]
-  in
-  let rows =
-    List.map
-      (fun (label, hier) ->
-        let deck = Ace_netlist.Spice.of_hier hier in
-        let reference =
-          match Ace_lvs.Reference.load ~name:label deck with
-          | Ok (r, _) -> r
-          | Error _ -> failwith (label ^ ": unreadable hierarchical deck")
-        in
-        let ref_view = Ace_lvs.Reference.hier_view ~name:label deck in
-        let flat_c = Ace_netlist.Hier.flatten hier in
-        let rf, t_flat =
-          time (fun () -> Ace_lvs.Match.run ~layout:flat_c ~reference ())
-        in
-        let rh, t_hier =
-          time (fun () ->
-              Ace_lvs.Hier.run ~layout:hier ~reference ?ref_view ())
-        in
-        let agree =
-          rh.Ace_lvs.Hier.r.Ace_lvs.Match.outcome = rf.Ace_lvs.Match.outcome
-        in
-        let insts =
-          List.fold_left
-            (fun a (p : Ace_netlist.Hier.part) ->
-              a + List.length p.Ace_netlist.Hier.instances)
-            0 hier.Ace_netlist.Hier.parts
-        in
-        let devices = Ace_netlist.Circuit.device_count flat_c in
-        Printf.printf "%-12s %9d %7d %10.4f %10.4f %7.2fx %8d %6d %9b %7b\n"
-          label devices insts t_flat t_hier
-          (if t_hier > 0.0 then t_flat /. t_hier else 0.0)
-          rh.Ace_lvs.Hier.cell_matches rh.Ace_lvs.Hier.cell_hits
-          rh.Ace_lvs.Hier.fallback agree;
-        json_obj
-          [
-            ("workload", json_string label);
-            ("devices", string_of_int devices);
-            ("instances", string_of_int insts);
-            ("flat_seconds", json_float t_flat);
-            ("hier_seconds", json_float t_hier);
-            ("cell_matches", string_of_int rh.Ace_lvs.Hier.cell_matches);
-            ("cell_hits", string_of_int rh.Ace_lvs.Hier.cell_hits);
-            ( "fallback",
-              if rh.Ace_lvs.Hier.fallback then "true" else "false" );
-            ("agree", if agree then "true" else "false");
-            ( "verdict",
-              json_string
-                (String.lowercase_ascii
-                   (verdict_name rh.Ace_lvs.Hier.r.Ace_lvs.Match.outcome)) );
-          ])
-      workloads
-  in
-  print_endline
-    "shape check: the regular meshes match 1 cell and serve the rest from \
-     the memo; verdicts agree with the flat comparator on every row";
-  json_arr rows
-
-(* ------------------------------------------------------------------ *)
-(* Regression gate: fresh extract JSON vs a checked-in baseline         *)
-(* ------------------------------------------------------------------ *)
-
-(* Compares a fresh run's JSON against a checked-in BENCH_extract.json
-   and exits non-zero when any gated wall regressed more than the
-   threshold.  The gate is table-driven: every spec names a top-level
-   array, its row key and the wall field to compare.  Tables absent from
-   the baseline are skipped (old /2 baselines gate only the extract
-   walls); rows present on only one side are reported but do not fail
-   the gate (suites can grow). *)
-type gate_spec = {
-  g_label : string;
-  g_array : string;
-  g_key : string;
-  g_wall : string;
-  g_required : bool;  (** fail hard when the baseline lacks the array *)
-}
-
-let gate_specs =
-  [
-    {
-      g_label = "extract wall_j1";
-      g_array = "chips";
-      g_key = "chip";
-      g_wall = "wall_j1_seconds";
-      g_required = true;
-    };
-    {
-      g_label = "extract devices phase (j1)";
-      g_array = "chips";
-      g_key = "chip";
-      g_wall = "devices_phase_j1_seconds";
-      g_required = false;
-    };
-    {
-      (* the contended tiled wall is scheduler noise when cores < jobs;
-         gate the slowest-tile + stitch projection instead, which is
-         measured uncontended (see the sequential re-run above) *)
-      g_label = "extract tiled projected";
-      g_array = "chips";
-      g_key = "chip";
-      g_wall = "projected_wall_tiled_seconds";
-      g_required = false;
-    };
-    {
-      g_label = "lvs flat compare";
-      g_array = "lvs";
-      g_key = "workload";
-      g_wall = "flat_seconds";
-      g_required = false;
-    };
-    {
-      g_label = "lvs hier compare";
-      g_array = "lvs";
-      g_key = "workload";
-      g_wall = "hier_seconds";
-      g_required = false;
-    };
-    {
-      g_label = "serve warm hit";
-      g_array = "serve";
-      g_key = "chip";
-      g_wall = "warm_seconds";
-      g_required = false;
-    };
-  ]
-
-let bench_gate ~baseline_path ~fresh_path ~threshold ~min_wall =
-  let module Json = Ace_trace.Json in
-  let read path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Json.parse s with
-    | Ok j -> j
-    | Error m -> failwith (Printf.sprintf "%s: invalid JSON: %s" path m)
-  in
-  let rows spec j =
-    match Json.member spec.g_array j with
-    | Some (Json.Arr cs) ->
-        Some
-          (List.filter_map
-             (fun c ->
-               match (Json.member spec.g_key c, Json.member spec.g_wall c) with
-               | Some (Json.Str name), Some (Json.Num w) -> Some (name, w)
-               | _ -> None)
-             cs)
-    | _ -> None
-  in
-  let base_j = read baseline_path and fresh_j = read fresh_path in
-  header
-    (Printf.sprintf "Bench regression gate: %s vs %s (threshold %+.0f%%)"
-       fresh_path baseline_path (threshold *. 100.0));
-  let regressions = ref 0 in
-  let gate_table spec =
-    match rows spec base_j with
-    | None ->
-        if spec.g_required then
-          failwith
-            (Printf.sprintf "baseline JSON carries no %S array" spec.g_array)
-        else
-          Printf.printf "-- %s: not in baseline, skipped (regenerate %s to arm)\n"
-            spec.g_label baseline_path
-    | Some base ->
-        let fresh = Option.value (rows spec fresh_j) ~default:[] in
-        (* Machines running the gate are rarely the machine that recorded
-           the baseline, and shared CI boxes slow down wholesale under
-           load.  A uniform slowdown is not a regression in the code
-           under test, so we cancel it: the load factor is the ratio of
-           total wall over the rows common to both runs, and per-row
-           deltas are measured against the load-adjusted fresh wall.  A
-           single row regressing still moves its own delta far more than
-           it moves the total. *)
-        let load_factor =
-          let bsum, fsum =
-            List.fold_left
-              (fun (bs, fs) (name, b) ->
-                match List.assoc_opt name fresh with
-                | Some f -> (bs +. b, fs +. f)
-                | None -> (bs, fs))
-              (0.0, 0.0) base
-          in
-          if bsum > 0.0 && fsum > 0.0 then fsum /. bsum else 1.0
-        in
-        Printf.printf "-- %s (load factor x%.2f, cancelled)\n" spec.g_label
-          load_factor;
-        Printf.printf "%-10s %12s %12s %9s  %s\n" "Name" "baseline (s)"
-          "fresh (s)" "delta" "verdict";
-        List.iter
-          (fun (name, b) ->
-            match List.assoc_opt name fresh with
-            | None ->
-                Printf.printf "%-10s %12.4f %12s %9s  missing from fresh run\n"
-                  name b "-" "-"
-            | Some f ->
-                let delta =
-                  if b > 0.0 then ((f /. load_factor) -. b) /. b else 0.0
-                in
-                (* rows whose baseline wall is under the floor are noise-
-                   dominated at this scale; report them but do not fail
-                   the gate on them — raise --scale to gate small chips *)
-                let measurable = b >= min_wall in
-                let bad = measurable && delta > threshold in
-                if bad then incr regressions;
-                Printf.printf "%-10s %12.4f %12.4f %+8.1f%%  %s\n" name b f
-                  (delta *. 100.0)
-                  (if bad then "REGRESSION"
-                   else if measurable then "ok"
-                   else "below floor (info)"))
-          base;
-        List.iter
-          (fun (name, _) ->
-            if not (List.mem_assoc name base) then
-              Printf.printf "%-10s (new row, not in baseline)\n" name)
-          fresh
-  in
-  List.iter gate_table gate_specs;
-  if !regressions > 0 then begin
-    Printf.printf "%d row(s) regressed beyond %.0f%%\n" !regressions
-      (threshold *. 100.0);
-    exit 1
-  end
-  else
-    Printf.printf "gate passed: no gated wall regressed beyond %.0f%%\n"
-      (threshold *. 100.0)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per paper table             *)
@@ -1207,36 +600,21 @@ let bechamel_tables () =
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
+let tables =
+  [ "ace51"; "ace52"; "dist"; "model"; "hext41"; "hext5"; "trace"; "ablations" ]
+
 let () =
   let scale = ref 0.15 in
   let full = ref false in
   let run_bechamel = ref false in
   let only = ref [] in
-  let jobs = ref 4 in
-  let reps = ref 1 in
-  let json_path = ref "BENCH_extract.json" in
-  let gate_path = ref "" in
-  let gate_threshold = ref 0.15 in
-  let gate_min_wall = ref 0.01 in
   let spec =
     [
       ("--scale", Arg.Set_float scale, "FACTOR scale chips to FACTOR of the paper's device counts (default 0.15)");
-      ("--full", Arg.Set full, " use the paper's full chip sizes (minutes of CPU)");
+      ("--full", Arg.Set full, " use the paper's full chip sizes (about a minute of CPU)");
       ("--bechamel", Arg.Set run_bechamel, " also run the Bechamel micro-benchmarks");
-      ("--table", Arg.String (fun s -> only := s :: !only),
-       "NAME run one table (ace51 ace52 dist model hext41 hext5 extract lvs trace serve ablations); repeatable");
-      ("--jobs", Arg.Set_int jobs, "N shard count for the extract table (default 4)");
-      ("--reps", Arg.Set_int reps,
-       "N repeat each extract-table measurement N times and keep the best wall (default 1)");
-      ("--json", Arg.Set_string json_path,
-       "PATH where the extract table writes its JSON telemetry (default BENCH_extract.json)");
-      ("--gate", Arg.Set_string gate_path,
-       "BASELINE after the extract table, fail if any chip's wall_j1_seconds regressed beyond the threshold vs BASELINE");
-      ("--gate-threshold", Arg.Set_float gate_threshold,
-       "FRAC allowed relative slowdown for --gate (default 0.15)");
-      ("--gate-min-wall", Arg.Set_float gate_min_wall,
-       "SECONDS baseline walls below this are informational only in the \
-        gate (default 0.01)");
+      ("--table", Arg.Symbol (tables, fun s -> only := s :: !only),
+       " run one table; repeatable (default: all)");
     ]
   in
   Arg.parse spec (fun _ -> ()) "bench/main.exe — regenerate the papers' tables";
@@ -1245,10 +623,8 @@ let () =
   Printf.printf "chip scale: %.2f of the papers' device counts%s\n" !scale
     (if !full then " (--full)" else "");
   let suite =
-    if
-      want "ace51" || want "ace52" || want "dist" || want "hext5"
-      || want "extract" || want "lvs" || want "trace" || want "serve"
-    then build_suite !scale
+    if List.exists want [ "ace51"; "ace52"; "dist"; "hext5"; "trace" ] then
+      build_suite !scale
     else []
   in
   if want "ace51" then ace_table_5_1 suite;
@@ -1257,21 +633,14 @@ let () =
   if want "model" then ace_model_check ();
   if want "hext41" then hext_table_4_1 ~full:!full ();
   if want "hext5" then hext_tables_5 suite;
-  let extract_fields =
-    if want "extract" then
-      Some (bench_extract suite ~jobs:!jobs ~scale:!scale ~reps:!reps)
-    else None
-  in
-  let lvs_rows = if want "lvs" then Some (bench_lvs suite) else None in
   if want "trace" then bench_trace_overhead suite;
-  let serve_rows = if want "serve" then Some (bench_serve suite) else None in
-  (match extract_fields with
-  | Some extract_fields ->
-      write_bench_json ~json_path:!json_path ~extract_fields ~lvs_rows
-        ~serve_rows
-  | None -> ());
-  if !gate_path <> "" then
-    bench_gate ~baseline_path:!gate_path ~fresh_path:!json_path
-      ~threshold:!gate_threshold ~min_wall:!gate_min_wall;
   if want "ablations" then ablations !scale;
-  if !run_bechamel then bechamel_tables ()
+  if !run_bechamel then bechamel_tables ();
+  if !gated_failures <> [] then begin
+    List.iter
+      (fun (claim, rows) ->
+        Printf.eprintf "counter shape broken: %s\n" claim;
+        List.iter (Printf.eprintf "  MISMATCH %s\n") rows)
+      (List.rev !gated_failures);
+    exit 1
+  end

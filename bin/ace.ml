@@ -41,17 +41,7 @@ let run input output geometry spice name quantum stats jobs tile strict
             Ace_core.Extractor.extract_with_stats ~emit_geometry:geometry
               ~name design
           in
-          ( circuit,
-            {
-              Ace_core.Parallel.jobs = 1;
-              shards = [];
-              stitch_seconds = 0.0;
-              boxes = st.Ace_core.Extractor.boxes;
-              stops = st.stops;
-              max_active = st.max_active;
-              timing = st.timing;
-              warnings = st.warnings;
-            } )
+          (circuit, Ace_core.Parallel.stats_of_flat st)
       in
       let elapsed = Unix.gettimeofday () -. t0 in
       let oc = match output with None -> stdout | Some p -> open_out p in

@@ -673,10 +673,12 @@ let run ?(cancel = Cancel.never) config source ~labels =
            no conductor here is NOT represented: a phantom element would
            persist across this window's (coarser) strips and transitively
            union neighbour nets that the flat extractor keeps apart.  The
-           only construction such a piece could legitimately bridge — a
-           cut spanning three windows with nothing under its middle third —
-           cannot arise, because guillotine cuts never pass through the
-           interior of a merged cut extent. *)
+           only construction such a piece could legitimately bridge is a
+           cut spanning three windows with nothing under its middle third.
+           HEXT never builds it: guillotine cuts never pass through the
+           interior of a merged cut extent.  Parallel's fixed tile grid
+           can, and there the tiled circuit then has more nets than the
+           flat one (the open three-tile contact-cut item in ROADMAP.md). *)
         Ivec.tagged_clear cut_bound;
         if config.window <> None then begin
           let conductors = [| new_metal; new_poly; new_diff |] in

@@ -21,7 +21,6 @@ type stats = {
   boxes : int;
   stops : int;
   max_active : int;
-  timing : Timing.t;
   warnings : Ace_diag.Diag.t list;
 }
 
@@ -242,7 +241,7 @@ type tile_result = {
    fragment — all inside the worker domain. *)
 let run_shard ~cancel ~on_shard design window labels idx =
   (* Each tile gets its own trace track whether it runs on a spawned
-     domain or (worker 0, or sequential mode) on the calling one; the
+     domain or, as one of worker 0's tiles, on the calling one; the
      track's counters start at zero, so the snapshot at the end is the
      tile's own contribution. *)
   Trace.with_track ~tid:(idx + 1) ~name:(Printf.sprintf "shard %d" idx)
@@ -300,7 +299,6 @@ let stats_of_flat (st : Extractor.stats) =
     boxes = st.Extractor.boxes;
     stops = st.stops;
     max_active = st.max_active;
-    timing = st.timing;
     warnings = st.warnings;
   }
 
@@ -558,8 +556,8 @@ let canonicalize ~name ~(bb : Box.t) (circuit : Circuit.t) activations
 (* Extraction                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let extract_with_stats ?(sequential = false) ?(cancel = Cancel.never)
-    ?(on_shard = fun _ -> ()) ?(jobs = 1) ?tile ?(name = "chip") design =
+let extract_with_stats ?(cancel = Cancel.never) ?(on_shard = fun _ -> ())
+    ?(jobs = 1) ?tile ?(name = "chip") design =
   let flat () =
     on_shard 0;
     let circuit, st = Extractor.extract_with_stats ~cancel ~name design in
@@ -593,17 +591,14 @@ let extract_with_stats ?(sequential = false) ?(cancel = Cancel.never)
           run_shard ~cancel ~on_shard design tiles.(t) buckets.(t) t
         in
         let nworkers = max 1 (min jobs tcount) in
-        let results, steals =
-          if sequential then (Array.init tcount work, 0)
-          else run_tiles ~cancel ~nworkers ~tcount work
-        in
+        let results, steals = run_tiles ~cancel ~nworkers ~tcount work in
         Trace.count Trace.Counter.Tiles_extracted tcount;
         if steals > 0 then Trace.count Trace.Counter.Tile_steals steals;
-        let stitch_timing = Timing.create () in
+        let stitch_seconds = ref 0.0 in
         let circuit =
           (* the stitch gets its own track, after the per-tile ones *)
           Trace.with_track ~tid:(tcount + 1) ~name:"stitch" @@ fun () ->
-          Timing.charge stitch_timing Timing.Stitch (fun () ->
+          Trace.timed "stitch" (fun dt -> stitch_seconds := dt) (fun () ->
               let frag_of t = results.(t).frag in
               let next = ref tcount in
               let parts = ref [] in
@@ -680,21 +675,18 @@ let extract_with_stats ?(sequential = false) ?(cancel = Cancel.never)
                       ws)
                   results))
         in
-        let timing = Timing.sum (List.map (fun s -> s.s_timing) shards) in
-        Timing.merge_into ~src:stitch_timing ~dst:timing;
         ( circuit,
           {
             jobs = nworkers;
             shards;
-            stitch_seconds = Timing.seconds stitch_timing Timing.Stitch;
+            stitch_seconds = !stitch_seconds;
             boxes = Ace_cif.Design.count_boxes design;
             stops = List.fold_left (fun a s -> a + s.s_stops) 0 shards;
             max_active =
               List.fold_left (fun a s -> max a s.s_max_active) 0 shards;
-            timing;
             warnings;
           } )
       end
 
-let extract ?sequential ?cancel ?on_shard ?jobs ?tile ?name design =
-  fst (extract_with_stats ?sequential ?cancel ?on_shard ?jobs ?tile ?name design)
+let extract ?cancel ?on_shard ?jobs ?tile ?name design =
+  fst (extract_with_stats ?cancel ?on_shard ?jobs ?tile ?name design)

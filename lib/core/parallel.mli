@@ -51,14 +51,14 @@ type stats = {
   boxes : int;  (** the design's flat box count (the papers' N) *)
   stops : int;  (** total stops over all tiles *)
   max_active : int;  (** max over tiles *)
-  timing : Timing.t;
-      (** phase-wise sum over tiles plus the stitch phase — CPU time, not
-          wall time: tiles overlap in wall clock *)
   warnings : Ace_diag.Diag.t list;
 }
 
 (** Slowest shard over the mean shard time: 1.0 = perfectly balanced. *)
 val balance : stats -> float
+
+(** The stats of a flat run: one job, no shards, no stitch. *)
+val stats_of_flat : Extractor.stats -> stats
 
 (** [tile_windows ~cols ~rows bb] partitions [bb] into a grid of
     near-equal tiles, indexed [column].(row) — columns left to right,
@@ -71,19 +71,13 @@ val tile_windows : cols:int -> rows:int -> Box.t -> Box.t array array
 (** Parse a "COLSxROWS" grid spec (e.g. ["4x2"]), both ≥ 1. *)
 val tile_of_string : string -> (int * int, string) result
 
-(** [extract_with_stats ?sequential ?jobs ?tile ?name design]:
+(** [extract_with_stats ?jobs ?tile ?name design]:
 
     [tile] gives the grid explicitly as [(cols, rows)]; default is
     [(jobs, 1)] — classic vertical strips.  A multi-tile grid engages
-    the tiled path even at [jobs = 1] (useful for testing seams without
-    domains).
-
-    [sequential] (default false) runs the tiles one after another in the
-    calling domain instead of scheduling over spawned workers —
-    identical tile/stitch code path and output.  Benches use it on hosts
-    with fewer cores than [jobs], where timeslicing inflates every
-    spawned tile's wall clock, to get uncontended per-tile timings;
-    tests use it for simpler failure traces.
+    the tiled path even at [jobs = 1], where every tile runs in order on
+    the calling domain with no steals: the same tile and stitch code,
+    and the same output, without spawning a domain.
 
     [cancel] is threaded into every tile's engine run and checked in the
     scheduler's steal loop; a deadline trip raises {!Cancel.Cancelled}
@@ -97,7 +91,6 @@ val tile_of_string : string -> (int * int, string) result
     stays consistent; the lowest-indexed tile's exception wins, with its
     original backtrace. *)
 val extract_with_stats :
-  ?sequential:bool ->
   ?cancel:Cancel.t ->
   ?on_shard:(int -> unit) ->
   ?jobs:int ->
@@ -107,7 +100,6 @@ val extract_with_stats :
   Circuit.t * stats
 
 val extract :
-  ?sequential:bool ->
   ?cancel:Cancel.t ->
   ?on_shard:(int -> unit) ->
   ?jobs:int ->

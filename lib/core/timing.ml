@@ -1,31 +1,28 @@
-type phase = Front_end | List_update | Devices | Output | Stitch
+type phase = Front_end | List_update | Devices | Output
 
-let all_phases = [ Front_end; List_update; Devices; Output; Stitch ]
+let all_phases = [ Front_end; List_update; Devices; Output ]
 
 let phase_name = function
   | Front_end -> "parsing, interpreting and sorting"
   | List_update -> "entering new geometry into lists"
   | Devices -> "computing devices, nets, etc."
   | Output -> "storage allocation, input/output"
-  | Stitch -> "stitching shard seams"
 
 let phase_slug = function
   | Front_end -> "front_end"
   | List_update -> "list_update"
   | Devices -> "devices"
   | Output -> "output"
-  | Stitch -> "stitch"
 
 let index = function
   | Front_end -> 0
   | List_update -> 1
   | Devices -> 2
   | Output -> 3
-  | Stitch -> 4
 
 type t = float array
 
-let create () = Array.make 5 0.0
+let create () = Array.make 4 0.0
 
 (* Phase accounting rides the tracer: the same clock samples feed the
    accumulated seconds and (when --trace is recording) the exported
@@ -38,13 +35,6 @@ let charge t phase f =
 let add t phase s = t.(index phase) <- t.(index phase) +. s
 let seconds t phase = t.(index phase)
 let total_seconds t = Array.fold_left ( +. ) 0.0 t
-
-let merge_into ~src ~dst = Array.iteri (fun i s -> dst.(i) <- dst.(i) +. s) src
-
-let sum ts =
-  let acc = create () in
-  List.iter (fun t -> merge_into ~src:t ~dst:acc) ts;
-  acc
 
 let distribution t =
   let total = total_seconds t in

@@ -10,16 +10,11 @@ type phase =
   | List_update  (** entering new geometry, updating active lists *)
   | Devices  (** computing devices, nets, connectivity *)
   | Output  (** storage allocation, output, initialization *)
-  | Stitch
-      (** composing shard interfaces across seams (parallel extraction
-          only; always zero for a flat run) *)
-
-val all_phases : phase list
 
 val phase_name : phase -> string
 
-(** Short machine-readable identifier ([front_end], [stitch], …) for JSON
-    telemetry. *)
+(** Short machine-readable identifier ([front_end], [devices], …): the
+    name of the phase's trace span and of its bench metric. *)
 val phase_slug : phase -> string
 
 type t
@@ -40,14 +35,5 @@ val add : t -> phase -> float -> unit
 (** Seconds accumulated in a phase. *)
 val seconds : t -> phase -> float
 
-val total_seconds : t -> float
-
-(** [merge_into ~src ~dst] adds every phase of [src] into [dst] — used to
-    aggregate per-shard timings into a whole-run view. *)
-val merge_into : src:t -> dst:t -> unit
-
-(** Phase-wise sum of a list of timings (e.g. one per shard). *)
-val sum : t list -> t
-
-(** Percentage table, phase order of {!all_phases}. *)
+(** Percentage of the summed seconds per phase, in declaration order. *)
 val distribution : t -> (phase * float) list

@@ -145,7 +145,8 @@ module Counter = struct
     | Deadline_kills -> "requests cancelled at their deadline"
     | Overloads -> "requests rejected with an overload reply"
     | Lvs_reductions -> "series/parallel device merges during LVS reduction"
-    | Lvs_rounds -> "LVS partition-refinement rounds (incl. individualization)"
+    | Lvs_rounds ->
+        "LVS colour-refinement rounds over both netlists (the last finds no new colour)"
     | Lvs_matches -> "devices paired across the two LVS netlists"
     | Lvs_cell_matches -> "distinct LVS cell summaries compared"
     | Lvs_cell_hits -> "LVS cell instances served from the summary memo"

@@ -6,7 +6,8 @@
    the seven paper chips at scale 0.1 and prints, per chip, everything
    those stages decide: device and net counts, digests of the plain
    wirelist, the wirelist with geometry and the SPICE deck, the scanline
-   statistics, and the work counters of the plain run.  The dune rule
+   statistics, the work counters of the plain run (symbol expansions on a
+   line of their own) and HEXT's leaf and compose counts.  The dune rule
    diffs the output against extract_scale.expected, so a reordered net,
    a moved terminal, one extra union-find lookup or a changed byte of
    output shows up as a diff.
@@ -52,7 +53,13 @@ let chip (r : Ace_workloads.Chips.recipe) =
           (fun c ->
             Printf.sprintf "%s=%d" (Trace.Counter.slug c)
               (List.assoc c after - List.assoc c before))
-          counters))
+          counters));
+  Printf.printf "counters expansions=%d\n"
+    (List.assoc Trace.Counter.Expansions after
+    - List.assoc Trace.Counter.Expansions before);
+  let _, hext = Ace_hext.Hext.extract design in
+  Printf.printf "hext leaf_extractions=%d compose_calls=%d\n"
+    hext.Ace_hext.Hext.leaf_extractions hext.compose_calls
 
 let box l b r t = Ace_geom.Box.make ~l ~b ~r ~t
 

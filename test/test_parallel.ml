@@ -331,16 +331,16 @@ let test_workload_equivalence () =
       ("random logic", Ace_workloads.Chips.random_logic ~cells:16 ~seed:7 ());
     ]
 
-let test_deterministic_and_sequential () =
+let test_deterministic_and_one_worker () =
   let design = data_design "mesh4x4.cif" in
   let wl jobs =
     Ace_netlist.Wirelist.to_string (Parallel.extract ~jobs design)
   in
   check "repeat runs byte-identical" true (wl 4 = wl 4);
-  check "sequential mode byte-identical" true
+  check "one worker, same strips, byte-identical" true
     (wl 4
     = Ace_netlist.Wirelist.to_string
-        (Parallel.extract ~sequential:true ~jobs:4 design))
+        (Parallel.extract ~jobs:1 ~tile:(4, 1) design))
 
 (* The canonicalization pass makes tiled output *byte-identical* to the
    flat extractor — not just electrically equivalent — for any grid and
@@ -559,7 +559,7 @@ let () =
           Alcotest.test_case "mesh4x4.cif" `Quick test_mesh_cif_equivalence;
           Alcotest.test_case "workloads" `Quick test_workload_equivalence;
           Alcotest.test_case "determinism" `Quick
-            test_deterministic_and_sequential;
+            test_deterministic_and_one_worker;
           Alcotest.test_case "tiled byte identity" `Quick
             test_tiled_byte_identity;
           Alcotest.test_case "horizontal seam device" `Quick

@@ -1,13 +1,13 @@
 (* trace_golden — helper for the Chrome-trace golden and regression rules.
 
-   Default mode: parse a CIF file, extract it with -j 4 under a recording
-   session, and print the *zeroed* Chrome trace-event JSON (wall times,
-   pids and allocation figures zeroed; counter values real) so the output
-   is byte-stable and can be diffed against a committed golden.  The
-   extraction runs the tiled path in sequential mode: the tile/stitch
-   code and every per-tile counter are identical to the scheduled run,
-   but the steal count (which depends on domain start-up timing) is
-   deterministically zero.
+   Default mode: parse a CIF file, extract it as four vertical strips
+   under a recording session, and print the *zeroed* Chrome trace-event
+   JSON (wall times, pids and allocation figures zeroed; counter values
+   real) so the output is byte-stable and can be diffed against a
+   committed golden.  The strips run with one worker, in order on the
+   calling domain: the tile/stitch code and every per-tile counter are
+   identical to a -j 4 run, but the steal count (which depends on domain
+   start-up timing) is deterministically zero.
 
    `--validate FILE.json` mode: structurally validate an exported trace
    (valid JSON, traceEvents present, per-track monotone timestamps,
@@ -38,7 +38,7 @@ let golden path =
     Ace_cif.Design.of_ast (Ace_cif.Parser.parse_file path)
   in
   ignore
-    (Ace_core.Parallel.extract ~sequential:true ~jobs:4
+    (Ace_core.Parallel.extract ~jobs:1 ~tile:(4, 1)
        ~name:(Filename.basename path) design);
   let session = Trace.stop () in
   print_string (Chrome.render ~zero:true session)

@@ -63,19 +63,21 @@ let run input output geometry spice name quantum stats jobs tile strict
           (float_of_int run_stats.boxes /. elapsed);
         if run_stats.Ace_core.Parallel.shards <> [] then begin
           Printf.eprintf
-            "parallel: %d workers, %d tiles, stitch %.3f s, balance %.2f\n"
+            "parallel: %d workers, %d tiles, stitch %.3f s (compose %.3f, \
+             flatten %.3f, order %.3f), balance %.2f\n"
             run_stats.Ace_core.Parallel.jobs
             (List.length run_stats.Ace_core.Parallel.shards)
-            run_stats.stitch_seconds
+            run_stats.stitch_seconds run_stats.compose_seconds
+            run_stats.flatten_seconds run_stats.order_seconds
             (Ace_core.Parallel.balance run_stats);
           List.iteri
             (fun i (s : Ace_core.Parallel.shard) ->
               Printf.eprintf
                 "  tile %d: x [%d, %d) y [%d, %d), %d boxes, %d stops, %d \
-                 devices (+%d partial), %.3f s\n"
+                 devices (+%d partial), %.3f s (fold-down %.3f s)\n"
                 (i + 1) s.s_window.Ace_geom.Box.l s.s_window.Ace_geom.Box.r
                 s.s_window.Ace_geom.Box.b s.s_window.Ace_geom.Box.t s.s_boxes
-                s.s_stops s.s_devices s.s_partials s.s_seconds)
+                s.s_stops s.s_devices s.s_partials s.s_seconds s.s_fold_seconds)
             run_stats.shards
         end;
         Format.eprintf "layout: %a@." Ace_cif.Stats.pp

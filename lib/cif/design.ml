@@ -399,6 +399,69 @@ and symbol_box_count t scratch id =
       Hashtbl.replace t.count_memo id n;
       n
 
+let add_ints t ~(scratch : Ibuf.t) ~boxes ~calls elements =
+  List.iter
+    (fun (el : Ast.element) ->
+      match el with
+      | Ast.Shape { layer; shape } -> (
+          match resolve_layer layer with
+          | None -> ()
+          | Some lyr ->
+              scratch.len <- 0;
+              Shapes.add_boxes ~quantum:t.quantum shape scratch;
+              let li = Layer.index lyr in
+              let i = ref 0 in
+              while !i < scratch.len do
+                Ibuf.push boxes li;
+                for j = 0 to 3 do
+                  Ibuf.push boxes scratch.data.(!i + j)
+                done;
+                i := !i + 4
+              done)
+      | Ast.Call { symbol; ops } -> (
+          match symbol_bbox t symbol with
+          | exception Not_found ->
+              () (* undefined callee: lenient designs have dropped it *)
+          | None -> () (* empty symbol: nothing will ever come out *)
+          | Some bb ->
+              Ibuf.push calls symbol;
+              for _ = 1 to Transform.ints do
+                Ibuf.push calls 0
+              done;
+              Transform.blit (transform_of_ops ops) calls.data
+                (calls.len - Transform.ints);
+              Ibuf.push calls bb.l;
+              Ibuf.push calls bb.b;
+              Ibuf.push calls bb.r;
+              Ibuf.push calls bb.t)
+      | Ast.Label _ | Ast.Comment_ext _ -> ())
+    elements
+
+let top_ints t =
+  (* a counting pass sizes both buffers exactly: they live as long as
+     every stream that reads them *)
+  let scratch = Ibuf.create () in
+  let nboxes = ref 0 and ncalls = ref 0 in
+  List.iter
+    (fun (el : Ast.element) ->
+      match el with
+      | Ast.Shape { layer; shape } ->
+          if Option.is_some (resolve_layer layer) then begin
+            scratch.len <- 0;
+            Shapes.add_boxes ~quantum:t.quantum shape scratch;
+            nboxes := !nboxes + (scratch.len / 4 * 5)
+          end
+      | Ast.Call { symbol; _ } -> (
+          match symbol_bbox t symbol with
+          | Some _ -> ncalls := !ncalls + 1 + Transform.ints + 4
+          | None | (exception Not_found) -> ())
+      | Ast.Label _ | Ast.Comment_ext _ -> ())
+    t.ast.top_level;
+  let boxes = { Ibuf.data = Array.make !nboxes 0; len = 0 }
+  and calls = { Ibuf.data = Array.make !ncalls 0; len = 0 } in
+  add_ints t ~scratch ~boxes ~calls t.ast.top_level;
+  (boxes, calls)
+
 let count_boxes t = elements_box_count t (Ibuf.create ()) t.ast.top_level
 
 let rec elements_inst_count t elements =

@@ -58,6 +58,23 @@ val bbox : t -> Box.t option
     in time proportional to the hierarchy, not to N. *)
 val count_boxes : t -> int
 
+(** [add_ints t ~scratch ~boxes ~calls elements] appends the expansion
+    of [elements] (one symbol's, or the top level's) flattened to ints, in
+    element order: five ints per box to [boxes] (layer index, l, b, r, t,
+    in the elements' own coordinates), and [1 + Transform.ints + 4] ints
+    per call of a defined, non-empty symbol to [calls] (callee, call
+    transform, callee bounding box l b r t).  [scratch] holds one shape's
+    decomposition at a time.  Reads the bounding-box memo, so it writes
+    the memo the first time a callee is met. *)
+val add_ints :
+  t -> scratch:Ibuf.t -> boxes:Ibuf.t -> calls:Ibuf.t -> Ast.element list -> unit
+
+(** The top level's {!add_ints} as (boxes, calls), in buffers of exactly
+    that length, computed afresh on each call.  Reads the bounding-box
+    memo, so a caller that shares the result across domains computes it
+    before the spawn. *)
+val top_ints : t -> Ibuf.t * Ibuf.t
+
 (** Number of symbol instantiations in the full expansion. *)
 val count_instances : t -> int
 

@@ -1,10 +1,10 @@
 open Ace_geom
 open Ace_tech
 
-(* A symbol's expansion, flattened to ints: its direct boxes in
-   symbol-local coordinates, then its calls with each call's op transform
-   and the callee's bounding box.  Calls of undefined or empty symbols are
-   left out, as they would never be pushed. *)
+(* A symbol's expansion, flattened to ints by {!Design.add_ints}: its
+   direct boxes in symbol-local coordinates, then its calls with each
+   call's op transform and the callee's bounding box.  Calls of undefined
+   or empty symbols are left out, as they would never be pushed. *)
 type recipe = {
   boxes : int array;  (** [box_ints] per box: layer index, l, b, r, t *)
   calls : int array;
@@ -39,7 +39,6 @@ let call_slot_ints = 1 + Transform.ints
 
 type t = {
   design : Design.t;
-  quantum : int;
   window : Box.t option;
       (** geometry filter: boxes and instance bboxes with no positive-area
           overlap are never pushed (nor expanded) *)
@@ -215,49 +214,12 @@ let push_calls t (cs : int array) n =
     i := k + call_ints
   done
 
-(* Append an element's part of a recipe to [t.rboxes] / [t.rcalls]. *)
-let add_element t (el : Ast.element) =
-  match el with
-  | Ast.Shape { layer; shape } -> (
-      match Design.resolve_layer layer with
-      | None -> ()
-      | Some lyr ->
-          let sb = t.shape_boxes in
-          sb.len <- 0;
-          Shapes.add_boxes ~quantum:t.quantum shape sb;
-          let li = Layer.index lyr in
-          let i = ref 0 in
-          while !i < sb.len do
-            Ibuf.push t.rboxes li;
-            for j = 0 to 3 do
-              Ibuf.push t.rboxes sb.data.(!i + j)
-            done;
-            i := !i + 4
-          done)
-  | Ast.Call { symbol; ops } -> (
-      match Design.symbol_bbox t.design symbol with
-      | exception Not_found ->
-          () (* undefined callee: lenient designs have dropped it *)
-      | None -> () (* empty symbol: nothing will ever come out *)
-      | Some bb ->
-          let c = t.rcalls in
-          Ibuf.push c symbol;
-          for _ = 1 to Transform.ints do
-            Ibuf.push c 0
-          done;
-          Transform.blit (Design.transform_of_ops ops) c.data
-            (c.len - Transform.ints);
-          Ibuf.push c bb.l;
-          Ibuf.push c bb.b;
-          Ibuf.push c bb.r;
-          Ibuf.push c bb.t)
-  | Ast.Label _ | Ast.Comment_ext _ -> ()
-
 (* Build [sym]'s recipe into [t.rboxes] / [t.rcalls]. *)
 let build_recipe t sym =
   t.rboxes.len <- 0;
   t.rcalls.len <- 0;
-  List.iter (add_element t) (Design.symbol t.design sym).Ast.elements
+  Design.add_ints t.design ~scratch:t.shape_boxes ~boxes:t.rboxes
+    ~calls:t.rcalls (Design.symbol t.design sym).Ast.elements
 
 let expand_call t slot =
   Ace_trace.Trace.incr Ace_trace.Trace.Counter.Expansions;
@@ -293,11 +255,13 @@ let rec settle t =
     settle t
   end
 
-let create ?window design =
+let create ?window ?top design =
+  let top_boxes, top_calls =
+    match top with Some ints -> ints | None -> Design.top_ints design
+  in
   let t =
     {
       design;
-      quantum = Design.quantum design;
       window;
       keys = Array.make 64 0;
       seqs = Array.make 64 0;
@@ -317,27 +281,12 @@ let create ?window design =
       expansions = 0;
     }
   in
-  (* top level behaves like an anonymous symbol expanded once; its shapes
-     go to the heap one at a time, so a flat chip is never held twice *)
+  (* top level behaves like an anonymous symbol expanded once, from ints
+     decomposed once per run: every tile's stream filters the same boxes
+     and calls *)
   Transform.blit Transform.identity t.outer 0;
-  let top = (Design.ast design).Ast.top_level in
-  List.iter
-    (fun (el : Ast.element) ->
-      match el with
-      | Ast.Shape _ ->
-          t.rboxes.len <- 0;
-          add_element t el;
-          push_boxes t t.rboxes.data t.rboxes.len
-      | Ast.Call _ | Ast.Label _ | Ast.Comment_ext _ -> ())
-    top;
-  t.rcalls.len <- 0;
-  List.iter
-    (fun (el : Ast.element) ->
-      match el with
-      | Ast.Call _ -> add_element t el
-      | Ast.Shape _ | Ast.Label _ | Ast.Comment_ext _ -> ())
-    top;
-  push_calls t t.rcalls.data t.rcalls.len;
+  push_boxes t top_boxes.data top_boxes.len;
+  push_calls t top_calls.data top_calls.len;
   t
 
 let peek_top t =

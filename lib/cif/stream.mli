@@ -13,13 +13,16 @@ open Ace_tech
 
 type t
 
-(** [create ?window design] builds the stream.  With [window], geometry
-    with no positive-area overlap is never pushed and instances whose
-    conservative bounding boxes miss the window are never expanded — the
-    sharded extractor uses this so each shard's front-end cost is
+(** [create ?window ?top design] builds the stream.  With [window],
+    geometry with no positive-area overlap is never pushed and instances
+    whose conservative bounding boxes miss the window are never expanded —
+    the sharded extractor uses this so each shard's front-end cost is
     proportional to its strip, not to the chip.  The filter is exactly as
-    strict as [Box.clip]: anything dropped would have clipped to nothing. *)
-val create : ?window:Box.t -> Design.t -> t
+    strict as [Box.clip]: anything dropped would have clipped to nothing.
+    [top] is [Design.top_ints design], which a caller opening several
+    streams on the design (one per tile) computes once and shares; the
+    stream only reads it.  Without it the stream computes its own. *)
+val create : ?window:Box.t -> ?top:Ibuf.t * Ibuf.t -> Design.t -> t
 
 (** y of the next scanline stop at which new geometry appears; [None] when
     the stream is exhausted.  Forces just enough expansion to make the

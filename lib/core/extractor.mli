@@ -70,9 +70,3 @@ val channel_terminals :
   area:int ->
   contacts:(int * int * Point.t * int) list ->
   int * int * int * int
-
-(** Resolve one channel component into a device, mapping net elements
-    through the union-find and a compression array.  Exposed for HEXT's
-    leaf windows. *)
-val resolve_device :
-  Union_find.t -> int array -> Engine.device_data -> Circuit.device

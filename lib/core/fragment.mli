@@ -53,6 +53,20 @@ type t = {
   partials : partial list;
 }
 
+(** A device completed inside a part (a leaf, or a compose) is sized there
+    from the part's nets.  When two of its contact nets are exported, they
+    may be one net that joins only through a part composed later (a source
+    diffusion cut in two by a window's clip), and the flat extractor sums
+    their edges into one terminal.  Such a device's size is provisional:
+    it keeps its contacts over the part's nets, so a caller that flattens
+    the hierarchy can size it again over flat nets ({!size_contacts}). *)
+type resize = {
+  r_index : int;  (** position in the part's device list *)
+  r_area : int;  (** channel area *)
+  r_contacts : (int * int * Point.t * int) list;
+      (** (part-local net, edge length, minimal edge position, edge side) *)
+}
+
 (** [size_contacts ~resolve ~gate ~area contacts] is the (source, drain,
     width, length) of a channel of [area] gated by net [gate], whose
     [contacts] are (net, edge length, minimal edge position, edge side).
@@ -66,19 +80,18 @@ val size_contacts :
   (int * int * Point.t * int) list ->
   int * int * int * int
 
-(** The complete devices of a window-mode engine result — channel
-    components touching no window face — as (device root, data), in the
-    order {!leaf_of_raw} lists them in the leaf part: by location (the
-    bbox's lower-left corner, y then x), ties in reverse
-    [raw.devices] order. *)
-val complete_devices : Engine.raw -> (int * Engine.device_data) list
-
 (** Build a leaf fragment from an {e already computed} window-mode engine
     result for [window].  This is the piece {!leaf} and the parallel
     extractor share: the caller keeps control of how the engine ran (own
     source, own timing) and this routine turns boundary crossings into the
-    fragment interface.  [next_id] names the part ("W<id>"). *)
-val leaf_of_raw : next_id:int -> window:Box.t -> Engine.raw -> t
+    fragment interface.  [dense] is [Union_find.compress raw.nets], which
+    numbers the part's nets; the caller compresses once and may read it
+    too.  [next_id] names the part ("W<id>").  The part's devices are
+    the complete ones (no window face touched), by location (the bbox's
+    lower-left corner, y then x), ties in reverse [raw.devices] order.
+    Also returns the devices whose size is provisional, in that order. *)
+val leaf_of_raw :
+  next_id:int -> window:Box.t -> dense:int array -> Engine.raw -> t * resize list
 
 (** Build a leaf fragment by running the scanline engine over a window's
     geometry (window mode).  [next_id] names the part ("W<id>"). *)
@@ -94,11 +107,10 @@ val leaf :
     with equal heights, or [offset = (0, a.height)] with equal widths. *)
 val compose : next_id:int -> t -> t -> offset:Point.t -> t
 
-(** [compose_ext] is {!compose} plus the partials it completed, merged
-    and over the composed part's nets, in the order of the part's
-    devices. *)
-val compose_ext :
-  next_id:int -> t -> t -> offset:Point.t -> t * partial list
+(** [compose_ext] is {!compose} plus the devices it completed whose size
+    is provisional, in the order of the part's devices, as {!leaf_of_raw}
+    returns them for a leaf. *)
+val compose_ext : next_id:int -> t -> t -> offset:Point.t -> t * resize list
 
 (** Wrap the root fragment, force-completing any partials still open at
     the chip boundary; returns the top part. *)

@@ -8,6 +8,7 @@ type shard = {
   s_stops : int;
   s_max_active : int;
   s_seconds : float;
+  s_fold_seconds : float;
   s_timing : Timing.t;
   s_devices : int;
   s_partials : int;
@@ -18,6 +19,9 @@ type stats = {
   jobs : int;
   shards : shard list;
   stitch_seconds : float;
+  compose_seconds : float;
+  flatten_seconds : float;
+  order_seconds : float;
   boxes : int;
   stops : int;
   max_active : int;
@@ -110,10 +114,17 @@ let shard_labels grid labels =
    strip, spans left to right within a phase.  The engine records each
    element's creation as (strip top, phase, span lo) — see
    {!Engine.raw.net_x} — and that key is intrinsic to the
-   geometry, not to how the scan was windowed.  [key_earlier] is
-   element-creation order over those keys. *)
-let key_earlier (y1, p1, x1) (y2, p2, x2) =
-  y1 > y2 || (y1 = y2 && (p1 < p2 || (p1 = p2 && x1 < x2)))
+   geometry, not to how the scan was windowed.  [keys] holds one such
+   key per net, as three int arrays; [compare_keys k i l j] is
+   element-creation order between net [i] of [k] and net [j] of [l]. *)
+type keys = { ky : int array; kp : int array; kx : int array }
+
+let compare_keys k i l j =
+  let c = Int.compare l.ky.(j) k.ky.(i) in
+  if c <> 0 then c
+  else
+    let c = Int.compare k.kp.(i) l.kp.(j) in
+    if c <> 0 then c else Int.compare k.kx.(i) l.kx.(j)
 
 (* The tile index of a leaf activation: leaf parts are named
    "W<tile index>" by Fragment. *)
@@ -121,20 +132,23 @@ let leaf_tile (a : Hier.activation) =
   let n = a.Hier.act_part in
   int_of_string (String.sub n 1 (String.length n - 1))
 
-(* Per part-local net (the same dense numbering {!Fragment.leaf_of_raw}
-   uses), the earliest creation key of the class, in chip coordinates. *)
-let leaf_net_keys (raw : Engine.raw) =
-  let nets = raw.Engine.nets in
-  let dense = Union_find.compress nets in
-  let keys = Array.make (Union_find.class_count nets) None in
-  for e = 0 to Union_find.count nets - 1 do
-    let k =
-      (raw.Engine.net_y.(e), raw.Engine.net_phase.(e), raw.Engine.net_x.(e))
-    in
-    let c = dense.(Union_find.find nets e) in
-    match keys.(c) with
-    | Some k0 when key_earlier k0 k -> ()
-    | _ -> keys.(c) <- Some k
+(* Per part-local net ([dense], the numbering {!Fragment.leaf_of_raw}
+   uses), the earliest creation key of the class, in chip coordinates.
+   The engine creates elements in key order, so a class's earliest key is
+   its first element's, and [dense], which numbers classes by their first
+   element, lists the part's nets in key order. *)
+let leaf_net_keys (raw : Engine.raw) dense =
+  let n = Union_find.class_count raw.Engine.nets in
+  let keys =
+    { ky = Array.make n 0; kp = Array.make n (-1); kx = Array.make n 0 }
+  in
+  for e = 0 to Union_find.count raw.Engine.nets - 1 do
+    let c = dense.(e) in
+    if keys.kp.(c) < 0 then begin
+      keys.ky.(c) <- raw.Engine.net_y.(e);
+      keys.kp.(c) <- raw.Engine.net_phase.(e);
+      keys.kx.(c) <- raw.Engine.net_x.(e)
+    end
   done;
   keys
 
@@ -142,76 +156,16 @@ let leaf_net_keys (raw : Engine.raw) =
 (* Seam-merged sizing                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A device completed inside one part — a tile, or a compose of tiles —
-   is sized there from the part's nets.  When two of its contact nets are
-   exported, they may be one flat net that joins only through a part
-   composed later (a source diffusion cut in two by a tile's clip), and
-   the flat extractor sums their edges into one terminal.  Such a device
-   keeps its contacts over the part's nets, so the stitch can size it
-   again over flat nets. *)
-type resize = {
-  r_index : int;  (** position in the part's device list *)
-  r_area : int;
-  r_contacts : (int * int * Point.t * int) list;
-      (** (part-local net, edge length, minimal edge position, side) *)
-}
-
-(* [devices] are the part's complete devices as (area, contacts), in the
-   part's device order; [net] maps a contact's net into the part's
-   numbering. *)
-let part_resizes (part : Hier.part) ~net devices =
-  let exported = Array.make part.Hier.net_count false in
-  List.iter (fun n -> exported.(n) <- true) part.Hier.exports;
-  (* two distinct exported nets among [contacts]; [first] is the
-     exported net met so far, or -1 *)
-  let rec two_exported first = function
-    | [] -> false
-    | (n, _, _, _) :: rest ->
-        let n = net n in
-        if not exported.(n) then two_exported first rest
-        else if first < 0 || first = n then two_exported n rest
-        else true
-  in
-  List.mapi (fun i d -> (i, d)) devices
-  |> List.filter_map (fun (i, (area, contacts)) ->
-         if not (two_exported (-1) contacts) then None
-         else
-           Some
-             {
-               r_index = i;
-               r_area = area;
-               r_contacts =
-                 List.map
-                   (fun (n, l, pos, side) -> (net n, l, pos, side))
-                   contacts;
-             })
-
-let leaf_resizes (raw : Engine.raw) (part : Hier.part) =
-  (* the engine aggregates contacts per net class, so a contact names a
-     root; [dense] numbers roots as leaf_of_raw does *)
-  let dense = Union_find.compress raw.Engine.nets in
-  part_resizes part
-    ~net:(fun n -> dense.(n))
-    (List.map
-       (fun (_, (d : Engine.device_data)) -> (d.Engine.area, d.Engine.contacts))
-       (Fragment.complete_devices raw))
-
-let compose_resizes (f : Fragment.t) completed =
-  part_resizes f.Fragment.part ~net:Fun.id
-    (List.map
-       (fun (p : Fragment.partial) ->
-         (p.Fragment.p_area, p.Fragment.p_contacts))
-       completed)
-
-(* Size the kept devices again over the flattened circuit's nets: each
-   part-local contact net maps through the part's activation, and
-   {!Fragment.size_contacts} merges and sizes them as the flat extractor
-   does.  [resizes] is keyed by part name. *)
+(* Size the devices a part kept provisional ({!Fragment.resize}) again
+   over the flattened circuit's nets: each part-local contact net maps
+   through the part's activation, and {!Fragment.size_contacts} merges
+   and sizes them as the flat extractor does.  [resizes] is keyed by part
+   name. *)
 let apply_resizes (circuit : Circuit.t) activations resizes =
   List.iter
     (fun (a : Hier.activation) ->
       List.iter
-        (fun r ->
+        (fun (r : Fragment.resize) ->
           let j = a.Hier.act_device + r.r_index in
           let d = circuit.Circuit.devices.(j) in
           let source, drain, width, length =
@@ -232,14 +186,14 @@ type tile_result = {
   frag : Fragment.t;
   shard : shard;
   warnings : string list;
-  keys : (int * int * int) option array;
-  resizes : resize list;
+  keys : keys;
+  resizes : Fragment.resize list;
 }
 
 (* One tile: its own lazy stream over the shared (pre-warmed, read-only)
    design, clipped to the tile, run in window mode, and folded down to a
    fragment — all inside the worker domain. *)
-let run_shard ~cancel ~on_shard design window labels idx =
+let run_shard ~cancel ~on_shard ~top design window labels idx =
   (* Each tile gets its own trace track whether it runs on a spawned
      domain or, as one of worker 0's tiles, on the calling one; the
      track's counters start at zero, so the snapshot at the end is the
@@ -250,7 +204,7 @@ let run_shard ~cancel ~on_shard design window labels idx =
   Cancel.check cancel;
   (* monotonic clock: shard telemetry must survive wall-clock steps *)
   let t0 = Trace.now_ns () in
-  let stream = Ace_cif.Stream.create ~window design in
+  let stream = Ace_cif.Stream.create ~window ~top design in
   let seen = ref 0 in
   (* [Engine.run] clips to the window; the windowed stream only pops boxes
      with positive-area overlap, so each popped box survives the clip and
@@ -271,18 +225,22 @@ let run_shard ~cancel ~on_shard design window labels idx =
       { Engine.emit_geometry = false; window = Some window }
       source ~labels
   in
-  let frag = Fragment.leaf_of_raw ~next_id:idx ~window raw in
-  (* before the counter snapshot: the key scan's union-find lookups must
-     be part of the shard's published counters *)
-  let keys = leaf_net_keys raw in
-  let resizes = leaf_resizes raw frag.Fragment.part in
+  (* the fold-down: one compress numbers the part's nets for the
+     fragment, its resizes and the creation keys alike *)
+  let t_fold = Trace.now_ns () in
+  let dense = Union_find.compress raw.Engine.nets in
+  let frag, resizes = Fragment.leaf_of_raw ~next_id:idx ~window ~dense raw in
+  let keys = leaf_net_keys raw dense in
+  let t1 = Trace.now_ns () in
+  let seconds_since t = Int64.to_float (Int64.sub t1 t) /. 1e9 in
   let shard =
     {
       s_window = window;
       s_boxes = !seen;
       s_stops = raw.Engine.stops;
       s_max_active = raw.Engine.max_active;
-      s_seconds = Int64.to_float (Int64.sub (Trace.now_ns ()) t0) /. 1e9;
+      s_seconds = seconds_since t0;
+      s_fold_seconds = seconds_since t_fold;
       s_timing = raw.Engine.timing;
       s_devices = List.length frag.Fragment.part.Hier.devices;
       s_partials = List.length frag.Fragment.partials;
@@ -296,6 +254,9 @@ let stats_of_flat (st : Extractor.stats) =
     jobs = 1;
     shards = [];
     stitch_seconds = 0.0;
+    compose_seconds = 0.0;
+    flatten_seconds = 0.0;
+    order_seconds = 0.0;
     boxes = st.Extractor.boxes;
     stops = st.stops;
     max_active = st.max_active;
@@ -469,58 +430,74 @@ let run_tiles ~cancel ~nworkers ~tcount work =
    {!Extractor.circuit_of_raw} orders nets by sorting the dense class
    array (classes in first-creation order) with (location y descending,
    x ascending), where a class's location is its earliest element's
-   creation point.  Both ingredients are reconstructible here: the
-   merged class's earliest creation key is the [key_earlier]-minimum
-   over the leaf classes flattening fused together, and arranging
-   classes by that full (y, phase, x) key reproduces the flat dense
-   order — so running the very same sort yields the very same
-   permutation, ties included.  Devices are re-sorted with the flat
-   comparator (location y then x, ascending). *)
+   creation point.  Both ingredients are reconstructible here.  Each
+   leaf lists its nets in creation-key order ({!leaf_net_keys}), so
+   merging the leaves' lists by key meets every chip net first at its
+   earliest key, and the order of first meetings is the flat dense
+   order.  [Array.sort] is a heap sort, which is not stable: where two
+   locations tie, the result depends on the order the sort starts from.
+   So the very same sort runs from the very same dense order, with a
+   comparator that gives the very same outcomes, and yields the very
+   same permutation, ties included.  Devices are re-sorted with the flat
+   comparator (location y then x, ascending), whose stable sort has one
+   result. *)
 let canonicalize ~name ~(bb : Box.t) (circuit : Circuit.t) activations
-    tile_keys =
+    (tile_keys : keys array) =
   let class_count = Array.length circuit.Circuit.nets in
-  let keys = Array.make class_count None in
-  List.iter
-    (fun (a : Hier.activation) ->
-      if a.Hier.act_leaf then begin
-        let leaf_keys : (int * int * int) option array =
-          tile_keys.(leaf_tile a)
-        in
-        Array.iteri
-          (fun local g ->
-            match leaf_keys.(local) with
-            | None -> ()
-            | Some k -> (
-                match keys.(g) with
-                | Some k0 when key_earlier k0 k -> ()
-                | _ -> keys.(g) <- Some k))
-          a.Hier.act_nets
-      end)
-    activations;
-  let loc_of c =
-    match keys.(c) with
-    | Some (y, _, x) -> Point.make x y
-    | None -> Point.origin
+  let ky = Array.make class_count 0 and kx = Array.make class_count 0 in
+  let order = Array.make class_count 0 in
+  let placed = Array.make class_count false and n = ref 0 in
+  let place g =
+    if not placed.(g) then begin
+      placed.(g) <- true;
+      order.(!n) <- g;
+      incr n
+    end
   in
-  (* classes in flat dense order: first-creation order over full keys;
-     keyless classes (impossible unless a net escaped every leaf) sink
-     to the end deterministically *)
-  let order = Array.init class_count (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      match (keys.(a), keys.(b)) with
-      | Some ka, Some kb ->
-          if key_earlier ka kb then -1 else if key_earlier kb ka then 1 else 0
-      | Some _, None -> -1
-      | None, Some _ -> 1
-      | None, None -> Int.compare a b)
-    order;
+  let leaves =
+    Array.of_list
+      (List.filter_map
+         (fun (a : Hier.activation) ->
+           if a.Hier.act_leaf then Some (tile_keys.(leaf_tile a), a.Hier.act_nets)
+           else None)
+         activations)
+  in
+  let next = Array.make (Array.length leaves) 0 in
+  let more = ref true in
+  while !more do
+    (* the leaf whose next net has the earliest key *)
+    let best = ref (-1) in
+    for l = 0 to Array.length leaves - 1 do
+      let k, nets = leaves.(l) in
+      if next.(l) < Array.length nets then
+        if !best < 0 then best := l
+        else
+          let bk, _ = leaves.(!best) in
+          if compare_keys k next.(l) bk next.(!best) < 0 then best := l
+    done;
+    if !best < 0 then more := false
+    else begin
+      let k, nets = leaves.(!best) in
+      let c = next.(!best) in
+      next.(!best) <- c + 1;
+      let g = nets.(c) in
+      if not placed.(g) then begin
+        ky.(g) <- k.ky.(c);
+        kx.(g) <- k.kx.(c);
+        place g
+      end
+    end
+  done;
+  (* keyless classes (impossible unless a net escaped every leaf) follow,
+     in index order, located at the origin *)
+  for g = 0 to class_count - 1 do
+    place g
+  done;
   (* ... then the flat extractor's own net sort, verbatim *)
   Array.sort
     (fun a b ->
-      let pa = loc_of a and pb = loc_of b in
-      let c = Int.compare pb.Point.y pa.Point.y in
-      if c <> 0 then c else Int.compare pa.Point.x pb.Point.x)
+      let c = Int.compare ky.(b) ky.(a) in
+      if c <> 0 then c else Int.compare kx.(a) kx.(b))
     order;
   let position = Array.make class_count 0 in
   Array.iteri (fun rank c -> position.(c) <- rank) order;
@@ -529,27 +506,29 @@ let canonicalize ~name ~(bb : Box.t) (circuit : Circuit.t) activations
       (fun c ->
         {
           Circuit.names = circuit.Circuit.nets.(c).Circuit.names;
-          location = loc_of c;
+          location = Point.make kx.(c) ky.(c);
           geometry = [];
         })
       order
   in
+  let shift = Point.make bb.Box.l bb.Box.b in
   let devices =
-    Array.to_list circuit.Circuit.devices
-    |> List.map (fun (d : Circuit.device) ->
-           {
-             d with
-             Circuit.gate = position.(d.gate);
-             source = position.(d.source);
-             drain = position.(d.drain);
-             location = Point.add d.location (Point.make bb.Box.l bb.Box.b);
-           })
-    |> List.sort (fun (a : Circuit.device) b ->
-           let c = Int.compare a.location.Point.y b.location.Point.y in
-           if c <> 0 then c
-           else Int.compare a.location.Point.x b.location.Point.x)
-    |> Array.of_list
+    Array.map
+      (fun (d : Circuit.device) ->
+        {
+          d with
+          Circuit.gate = position.(d.gate);
+          source = position.(d.source);
+          drain = position.(d.drain);
+          location = Point.add d.location shift;
+        })
+      circuit.Circuit.devices
   in
+  Array.stable_sort
+    (fun (a : Circuit.device) b ->
+      let c = Int.compare a.location.Point.y b.location.Point.y in
+      if c <> 0 then c else Int.compare a.location.Point.x b.location.Point.x)
+    devices;
   { Circuit.name; devices; nets }
 
 (* ------------------------------------------------------------------ *)
@@ -586,19 +565,27 @@ let extract_with_stats ?(cancel = Cancel.never) ?(on_shard = fun _ -> ())
           (fun id -> ignore (Ace_cif.Design.symbol_bbox design id))
           (Ace_cif.Design.symbol_ids design);
         ignore (Ace_cif.Design.count_boxes design);
+        (* the top level, decomposed once for every tile's stream to
+           filter *)
+        let top = Ace_cif.Design.top_ints design in
         let buckets = shard_labels grid (Ace_cif.Design.labels design) in
         let work t =
-          run_shard ~cancel ~on_shard design tiles.(t) buckets.(t) t
+          run_shard ~cancel ~on_shard ~top design tiles.(t) buckets.(t) t
         in
         let nworkers = max 1 (min jobs tcount) in
         let results, steals = run_tiles ~cancel ~nworkers ~tcount work in
         Trace.count Trace.Counter.Tiles_extracted tcount;
         if steals > 0 then Trace.count Trace.Counter.Tile_steals steals;
         let stitch_seconds = ref 0.0 in
+        (* the stitch's stages, from monotonic clock readings between
+           them: compose (and finalize), flatten (and resize), order *)
+        let t_compose = ref 0L and t_flatten = ref 0L and t_order = ref 0L in
+        let t_done = ref 0L in
         let circuit =
           (* the stitch gets its own track, after the per-tile ones *)
           Trace.with_track ~tid:(tcount + 1) ~name:"stitch" @@ fun () ->
           Trace.timed "stitch" (fun dt -> stitch_seconds := dt) (fun () ->
+              t_compose := Trace.now_ns ();
               let frag_of t = results.(t).frag in
               let next = ref tcount in
               let parts = ref [] in
@@ -614,11 +601,8 @@ let extract_with_stats ?(cancel = Cancel.never) ?(on_shard = fun _ -> ())
               let compose counter a b ~offset =
                 let id = !next in
                 incr next;
-                let f, completed =
-                  Fragment.compose_ext ~next_id:id a b ~offset
-                in
-                Hashtbl.replace resizes f.Fragment.part.Hier.part_name
-                  (compose_resizes f completed);
+                let f, kept = Fragment.compose_ext ~next_id:id a b ~offset in
+                Hashtbl.replace resizes f.Fragment.part.Hier.part_name kept;
                 Trace.incr counter;
                 push_part f;
                 f
@@ -655,11 +639,18 @@ let extract_with_stats ?(cancel = Cancel.never) ?(on_shard = fun _ -> ())
               let hier =
                 { Hier.parts = List.rev (top :: !parts); top = "Top" }
               in
+              t_flatten := Trace.now_ns ();
               let flat_circuit, activations = Hier.flatten_ext hier in
               apply_resizes flat_circuit activations resizes;
-              canonicalize ~name ~bb flat_circuit activations
-                (Array.map (fun r -> r.keys) results))
+              t_order := Trace.now_ns ();
+              let circuit =
+                canonicalize ~name ~bb flat_circuit activations
+                  (Array.map (fun r -> r.keys) results)
+              in
+              t_done := Trace.now_ns ();
+              circuit)
         in
+        let seconds a b = Int64.to_float (Int64.sub !b !a) /. 1e9 in
         let shards =
           Array.to_list (Array.map (fun r -> r.shard) results)
         in
@@ -680,6 +671,9 @@ let extract_with_stats ?(cancel = Cancel.never) ?(on_shard = fun _ -> ())
             jobs = nworkers;
             shards;
             stitch_seconds = !stitch_seconds;
+            compose_seconds = seconds t_compose t_flatten;
+            flatten_seconds = seconds t_flatten t_order;
+            order_seconds = seconds t_order t_done;
             boxes = Ace_cif.Design.count_boxes design;
             stops = List.fold_left (fun a s -> a + s.s_stops) 0 shards;
             max_active =

@@ -33,7 +33,11 @@ type shard = {
   s_boxes : int;  (** boxes the tile's stream popped, each overlapping the tile *)
   s_stops : int;  (** scanline stops *)
   s_max_active : int;  (** peak scanline population *)
-  s_seconds : float;  (** wall time of the whole tile (stream + scan) *)
+  s_seconds : float;
+      (** wall time of the whole tile (stream + scan + fold-down) *)
+  s_fold_seconds : float;
+      (** of which the fold-down: the engine result turned into a
+          fragment, creation keys and resizes *)
   s_timing : Timing.t;  (** per-phase split of the tile's engine run *)
   s_devices : int;  (** transistors completed inside the tile *)
   s_partials : int;  (** partial transistors open at the tile boundary *)
@@ -47,7 +51,10 @@ type stats = {
   shards : shard list;
       (** per tile, column-major — left-to-right, bottom-to-top within a
           column; empty for a flat fallback run *)
-  stitch_seconds : float;  (** composing + flattening, after the join *)
+  stitch_seconds : float;  (** the whole stitch, after the join *)
+  compose_seconds : float;  (** of which composing the tiles *)
+  flatten_seconds : float;  (** flattening and re-sizing seam devices *)
+  order_seconds : float;  (** the flat extractor's net and device order *)
   boxes : int;  (** the design's flat box count (the papers' N) *)
   stops : int;  (** total stops over all tiles *)
   max_active : int;  (** max over tiles *)

@@ -494,7 +494,13 @@ let test_shard_raise_joins () =
    and drain.  The 2x1 grid cuts both arms at x 48 and leaves the
    channel whole in the right tile; 2x2 also cuts the channel at y 10,
    so the right column's compose completes it with the arms still
-   apart. *)
+   apart.
+
+   net_order_tie.cif pins the net order the stitch must replay.  Its
+   poly gate net and its metal net (joined to the drain diffusion) both
+   begin at (0, 24), poly first.  The flat extractor's heap sort numbers
+   them N2 and N1; a stable sort would keep creation order and make the
+   gate N1. *)
 let test_seam_merge () =
   List.iter
     (fun (file, length, width) ->
@@ -503,6 +509,9 @@ let test_seam_merge () =
       let d0 = reference.Ace_netlist.Circuit.devices.(0) in
       check_int (file ^ " flat length") length d0.Ace_netlist.Circuit.length;
       check_int (file ^ " flat width") width d0.Ace_netlist.Circuit.width;
+      if file = "net_order_tie.cif" then
+        check_int (file ^ " flat gate after the tied metal net") 2
+          d0.Ace_netlist.Circuit.gate;
       let flat_wl = Ace_netlist.Wirelist.to_string reference in
       for cols = 1 to 8 do
         for rows = 1 to 3 do
@@ -521,7 +530,50 @@ let test_seam_merge () =
           (Ace_netlist.Wirelist.to_string (Parallel.extract ~jobs design)
           = flat_wl)
       done)
-    [ ("seam_merge_width.cif", 1, 10); ("seam_merge_tie.cif", 17, 22) ]
+    [
+      ("seam_merge_width.cif", 1, 10);
+      ("seam_merge_tie.cif", 17, 22);
+      ("net_order_tie.cif", 4, 4);
+    ]
+
+(* The tiled path's allocation, bounded against the flat extractor's on
+   the same design.  Minor words counted on one domain are deterministic
+   for one build, so the bounds are tight: the largest ratio over the
+   paper chips at scale 0.1 (cherry, where the per-tile fixed costs weigh
+   most) plus 10%, and the ratio of the sums plus 10%.  Before the
+   fold-down and the stitch moved onto int arrays the ratios were 2.6x to
+   5.3x, 2.9x over the sums. *)
+let tiled_words_bound = 5.0
+let tiled_words_total_bound = 2.25
+
+let test_tiled_allocation () =
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let flat_total = ref 0.0 and tiled_total = ref 0.0 in
+  List.iter
+    (fun (r : Ace_workloads.Chips.recipe) ->
+      let design = r.build ~scale:0.1 in
+      let flat_w = words (fun () -> flat design) in
+      let tiled_w =
+        words (fun () -> Parallel.extract ~jobs:1 ~tile:(4, 2) design)
+      in
+      flat_total := !flat_total +. flat_w;
+      tiled_total := !tiled_total +. tiled_w;
+      check
+        (Printf.sprintf "%s: tiled allocates %.3fx flat (bound %.2fx)"
+           r.chip_name (tiled_w /. flat_w) tiled_words_bound)
+        true
+        (tiled_w <= tiled_words_bound *. flat_w))
+    Ace_workloads.Chips.paper_suite;
+  check
+    (Printf.sprintf "all chips: tiled allocates %.3fx flat (bound %.2fx)"
+       (!tiled_total /. !flat_total)
+       tiled_words_total_bound)
+    true
+    (!tiled_total <= tiled_words_total_bound *. !flat_total)
 
 let prop_random_designs =
   Tutil.qtest ~count:60 "parallel ≡ flat on random hierarchical designs"
@@ -570,5 +622,6 @@ let () =
             test_shard_raise_joins;
           prop_random_designs;
           Alcotest.test_case "seam-merged sizing" `Quick test_seam_merge;
+          Alcotest.test_case "tiled allocation" `Quick test_tiled_allocation;
         ] );
     ]

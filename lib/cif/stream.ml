@@ -61,6 +61,7 @@ type t = {
   labels : Design.label list Lazy.t;
       (** forced only by callers that ask: a tile's stream never does *)
   mutable expansions : int;
+  mutable boxes_popped : int;
 }
 
 (* --- binary max-heap on (keys, seqs, slots) --- *)
@@ -279,6 +280,7 @@ let create ?window ?top design =
       popped = Ibuf.create ();
       labels = lazy (Design.labels design);
       expansions = 0;
+      boxes_popped = 0;
     }
   in
   (* top level behaves like an anonymous symbol expanded once, from ints
@@ -313,6 +315,7 @@ let pop_at t y =
     end
   done;
   let n = out.len / box_ints in
+  t.boxes_popped <- t.boxes_popped + n;
   Ace_trace.Trace.count Ace_trace.Trace.Counter.Boxes_popped n;
   (* built back to front, so boxes sharing the top [y] come out in pop
      (FIFO) order *)
@@ -340,3 +343,4 @@ let drain t =
 let pending t = t.size
 let labels t = Lazy.force t.labels
 let expansions t = t.expansions
+let boxes_popped t = t.boxes_popped

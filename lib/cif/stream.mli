@@ -52,3 +52,10 @@ val labels : t -> Design.label list
 (** Number of one-level expansions performed so far (front-end work
     metric). *)
 val expansions : t -> int
+
+(** Number of boxes {!pop_at} has returned so far.  A drained stream
+    without a window has popped every box of the design, as many as
+    [Design.count_boxes] counts, without a second walk of the hierarchy.
+    Streams on a grid of windows pop a box that straddles several
+    windows once in each. *)
+val boxes_popped : t -> int

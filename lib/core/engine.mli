@@ -54,6 +54,10 @@ val side_right : int
 (** Lexicographic order on (position, side) keys. *)
 val edge_key_less : Point.t * int -> Point.t * int -> bool
 
+(** [edge_key_lt x1 y1 s1 x2 y2 s2] is [edge_key_less] on unboxed keys:
+    y, then x, then side. *)
+val edge_key_lt : int -> int -> int -> int -> int -> int -> bool
+
 type face = West | East | South | North
 
 (** A conducting-layer crossing of the window boundary: on [West]/[East]

@@ -10,29 +10,39 @@ type stats = {
   warnings : Ace_diag.Diag.t list;
 }
 
+(* Contact order: longest edge first; ties broken by the edge's
+   geometric position so flat and hierarchical extraction always agree.
+   On a full tie the contact met first comes first. *)
+let before (_, la, (pa : Point.t), sa) (_, lb, (pb : Point.t), sb) =
+  la > lb || (la = lb && Engine.edge_key_lt pa.x pa.y sa pb.x pb.y sb)
+
+let no_contact = (-1, 0, Point.origin, 0)
+
+(* The first two contacts in that order, in one scan without a sort or
+   a tuple per comparison: a strictly earlier contact displaces [first]
+   or [second]. *)
+let rec best_two first second = function
+  | [] -> (first, second)
+  | c :: rest ->
+      if first == no_contact then best_two c second rest
+      else if before c first then best_two c first rest
+      else if second == no_contact || before c second then
+        best_two first c rest
+      else best_two first second rest
+
 (* The transistor sizing rule of ACE §3: source edge = perimeter along
    which the source net touches the channel; W = mean(source edge, drain
    edge); L = area / W. *)
 let channel_terminals ~gate ~area ~contacts =
-  (* longest edges first; ties broken by the edge's geometric position so
-     flat and hierarchical extraction always agree *)
-  let contacts =
-    List.sort
-      (fun (_, la, pa, sa) (_, lb, pb, sb) ->
-        let c = Int.compare lb la in
-        if c <> 0 then c
-        else if Engine.edge_key_less (pa, sa) (pb, sb) then -1
-        else if Engine.edge_key_less (pb, sb) (pa, sa) then 1
-        else 0)
-      contacts
+  let ((n1, l1, _, _) as first), ((n2, l2, _, _) as second) =
+    best_two no_contact no_contact contacts
   in
   let source, drain, width =
-    match contacts with
-    | (n1, l1, _, _) :: (n2, l2, _, _) :: _ -> (n1, n2, (l1 + l2) / 2)
-    | [ (n1, l1, _, _) ] -> (n1, n1, l1 / 2)
-    | [] ->
-        (* floating channel; keep indices valid, let the checker flag it *)
-        (gate, gate, max 1 (int_of_float (sqrt (float_of_int area))))
+    if first == no_contact then
+      (* floating channel; keep indices valid, let the checker flag it *)
+      (gate, gate, max 1 (int_of_float (sqrt (float_of_int area))))
+    else if second == no_contact then (n1, n1, l1 / 2)
+    else (n1, n2, (l1 + l2) / 2)
   in
   let width = max 1 width in
   let length = max 1 (area / width) in
@@ -145,10 +155,13 @@ let extract_with_stats ?(cancel = Cancel.never) ?(emit_geometry = false)
   let raw =
     Engine.run ~cancel { Engine.emit_geometry; window = None } source ~labels
   in
+  (* read now: the stream's heap and pools are garbage while
+     [circuit_of_raw] allocates *)
+  let boxes = Ace_cif.Stream.boxes_popped stream in
   let circuit = circuit_of_raw ~name ~include_partial:true raw in
   ( circuit,
     {
-      boxes = Ace_cif.Design.count_boxes design;
+      boxes;
       stops = raw.stops;
       max_active = raw.max_active;
       timing = raw.timing;

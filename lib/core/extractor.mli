@@ -61,10 +61,11 @@ val extract_cif_string : ?emit_geometry:bool -> ?name:string -> string -> Circui
 (** The transistor sizing rule of ACE §3, shared with HEXT's partial-device
     completion: terminals are the two largest edge contacts, W is their
     mean, L is area/W; length ties are broken by the contact edge's
-    geometric position so every extractor picks the same terminals.
-    Returns (source, drain, width, length); a device with a single
-    adjacent net has source = drain; a floating channel gets
-    source = drain = gate and a √area fallback width. *)
+    geometric position ({!Engine.edge_key_lt}) so every extractor picks
+    the same terminals, and on a full tie the contact listed first wins.
+    One scan, no sort.  Returns (source, drain, width, length); a device
+    with a single adjacent net has source = drain; a floating channel
+    gets source = drain = gate and a √area fallback width. *)
 val channel_terminals :
   gate:int ->
   area:int ->

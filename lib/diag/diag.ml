@@ -89,31 +89,65 @@ let to_string ?source d =
       Printf.sprintf "%s at line %d, column %d: %s\n  %s\n  %s" head line col
         d.message text caret
 
-(* Runs of characters that need no escape are copied as one substring. *)
+(* The escape of each byte that needs one: ['"'], ['\\'] and the control
+   bytes, exactly the bytes [Swar.json_plain_end] stops at; [""] for the
+   rest. *)
+let escapes =
+  Array.init 256 (fun i ->
+      match Char.chr i with
+      | '"' -> "\\\""
+      | '\\' -> "\\\\"
+      | '\n' -> "\\n"
+      | '\r' -> "\\r"
+      | '\t' -> "\\t"
+      | _ when i < 0x20 -> Printf.sprintf "\\u%04x" i
+      | _ -> "")
+
+(* Runs of bytes that need no escape are copied whole, and found 8 bytes
+   at a time. *)
 let json_escape_into buf s =
   let n = String.length s in
-  let rec go from i =
-    if i = n then Buffer.add_substring buf s from (i - from)
-    else
-      match String.unsafe_get s i with
-      | ('"' | '\\' | '\000' .. '\031') as c ->
-          Buffer.add_substring buf s from (i - from);
-          (match c with
-          | '"' -> Buffer.add_string buf "\\\""
-          | '\\' -> Buffer.add_string buf "\\\\"
-          | '\n' -> Buffer.add_string buf "\\n"
-          | '\r' -> Buffer.add_string buf "\\r"
-          | '\t' -> Buffer.add_string buf "\\t"
-          | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
-          go (i + 1) (i + 1)
-      | _ -> go from (i + 1)
+  let rec go from =
+    let stop = Ace_trace.Swar.json_plain_end s from n in
+    Buffer.add_substring buf s from (stop - from);
+    if stop < n then begin
+      Buffer.add_string buf escapes.(Char.code (String.unsafe_get s stop));
+      go (stop + 1)
+    end
   in
-  go 0 0
+  go 0
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
   json_escape_into buf s;
   Buffer.contents buf
+
+(* Two passes over the runs: the first sizes the result, the second fills
+   it, so a multi-megabyte string is copied once. *)
+let json_quote s =
+  let n = String.length s in
+  let plain_end i = Ace_trace.Swar.json_plain_end s i n in
+  let escape i = escapes.(Char.code (String.unsafe_get s i)) in
+  let len = ref (n + 2) and i = ref (plain_end 0) in
+  while !i < n do
+    len := !len + String.length (escape !i) - 1;
+    i := plain_end (!i + 1)
+  done;
+  let b = Bytes.create !len in
+  Bytes.unsafe_set b 0 '"';
+  let rec fill from j =
+    let stop = plain_end from in
+    Bytes.unsafe_blit_string s from b j (stop - from);
+    let j = j + stop - from in
+    if stop < n then begin
+      let e = escape stop in
+      Bytes.unsafe_blit_string e 0 b j (String.length e);
+      fill (stop + 1) (j + String.length e)
+    end
+    else Bytes.unsafe_set b j '"'
+  in
+  fill 0 1;
+  Bytes.unsafe_to_string b
 
 let to_json ?source d =
   let buf = Buffer.create 128 in

@@ -59,3 +59,7 @@ val json_escape : string -> string
 (** [json_escape_into buf s] appends [json_escape s] to [buf] without an
     intermediate string. *)
 val json_escape_into : Buffer.t -> string -> unit
+
+(** [json_quote s = "\"" ^ json_escape s ^ "\""], built at its exact
+    size: a JSON string literal for [s], copied once. *)
+val json_quote : string -> string

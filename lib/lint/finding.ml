@@ -63,16 +63,6 @@ let to_diag circuit f =
   in
   Ace_diag.Diag.make severity ~code:f.code (f.message ^ context circuit f)
 
-(* FNV-1a, 64 bit: cheap, stable across runs and platforms. *)
-let fnv1a64 s =
-  let prime = 0x100000001b3L and basis = 0xcbf29ce484222325L in
-  let h = ref basis in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
-  Printf.sprintf "%016Lx" !h
-
 (* Fingerprints identify a finding by rule code plus the *physical*
    identity of the flagged device/net — type and layout location for
    devices, user name (or location) for nets — rather than by array
@@ -98,4 +88,4 @@ let fingerprint circuit f =
             let p = circuit.Circuit.nets.(n).location in
             Printf.sprintf "@%d,%d" p.Ace_geom.Point.x p.Ace_geom.Point.y)
   in
-  fnv1a64 (String.concat "|" [ f.code; device_key; net_key ])
+  Ace_diag.Fnv.hex64 (String.concat "|" [ f.code; device_key; net_key ])

@@ -3,19 +3,11 @@ module Diag = Ace_diag.Diag
 let to_diag (f : Match.finding) =
   Diag.make f.Match.severity ~code:f.Match.code f.Match.message
 
-(* FNV-1a, 64 bit — the same function Ace_lint.Finding uses, applied to
-   the comparator's stable anchor tokens. *)
-let fnv1a64 s =
-  let prime = 0x100000001b3L and basis = 0xcbf29ce484222325L in
-  let h = ref basis in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
-  Printf.sprintf "%016Lx" !h
-
+(* The same FNV-1a Ace_lint.Finding uses, over the comparator's stable
+   anchor tokens. *)
 let fingerprint (f : Match.finding) =
-  fnv1a64 (String.concat "|" [ "lvs"; f.Match.code; f.Match.anchor ])
+  Ace_diag.Fnv.hex64
+    (String.concat "|" [ "lvs"; f.Match.code; f.Match.anchor ])
 
 (* One entry per stable code: comparator verdict codes first, then the
    lenient reference-parser codes.  Levels are the default severities. *)

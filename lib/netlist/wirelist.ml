@@ -163,14 +163,23 @@ let write ~emit_geometry ~flush buf (c : Circuit.t) =
     c.nets;
   str "))\n"
 
-let to_string ?(emit_geometry = false) c =
-  let buf = Buffer.create 4096 in
-  write ~emit_geometry ~flush:ignore buf c;
-  Buffer.contents buf
-
 (* Stream through one buffer of about [chunk] bytes: whenever a record
    leaves it past the threshold, its contents go to the channel. *)
 let chunk = 65536
+
+(* The same chunks, joined once at the end: a doubling buffer would leave
+   about three times the text behind as garbage. *)
+let to_string ?(emit_geometry = false) c =
+  let buf = Buffer.create (2 * chunk) in
+  let chunks = ref [] in
+  let flush () =
+    if Buffer.length buf >= chunk then begin
+      chunks := Buffer.contents buf :: !chunks;
+      Buffer.clear buf
+    end
+  in
+  write ~emit_geometry ~flush buf c;
+  String.concat "" (List.rev (Buffer.contents buf :: !chunks))
 
 let to_channel ?(emit_geometry = false) oc c =
   let buf = Buffer.create (2 * chunk) in

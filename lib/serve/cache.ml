@@ -1,30 +1,59 @@
 module Trace = Ace_trace.Trace
 
-let fnv_prime = 0x100000001b3L
+let fnv1a64_hex = Ace_diag.Fnv.hex64
+let fnv1a64_hex_parts = Ace_diag.Fnv.hex64_parts
 
-(* Plain loops over a local ref: the compiler keeps [h] unboxed, where a
-   ref captured by a [String.iter] closure boxes an Int64 per byte.  Warm
-   hits checksum whole payloads under the cache lock, and every cached
-   request hashes its whole CIF.  The "\x00" between parts xors in zero,
-   so it is one multiply. *)
-let fnv1a64_hex_parts parts =
+(* The word hash.  A step xors a word into the state, multiplies by an
+   odd constant and rotates: each is a bijection, of the word for a fixed
+   state and of the state for a fixed word, and so is the finaliser
+   (MurmurHash3's fmix64).  Two inputs that differ only inside one word
+   therefore never share a hash.  The state is a local ref the compiler
+   keeps unboxed. *)
+let word_k = 0x9e3779b97f4a7c15L
+
+let[@inline] absorb h w =
+  let x = Int64.mul (Int64.logxor h w) word_k in
+  Int64.logor (Int64.shift_left x 29) (Int64.shift_right_logical x 35)
+
+let[@inline] fmix64 h =
+  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+  let h = Int64.mul h 0xff51afd7ed558ccdL in
+  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+  let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
+  Int64.logxor h (Int64.shift_right_logical h 33)
+
+(* Each part is framed by its length, then read 8 bytes at a time; its
+   last 1 to 7 bytes make one zero-padded word. *)
+let hash64_hex_parts parts =
   let parts = Array.of_list parts in
-  let h = ref 0xcbf29ce484222325L in
+  let h = ref 0x243f6a8885a308d3L in
   for p = 0 to Array.length parts - 1 do
-    if p > 0 then h := Int64.mul !h fnv_prime;
     let s = Array.unsafe_get parts p in
-    for i = 0 to String.length s - 1 do
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
-          fnv_prime
-    done
+    let n = String.length s in
+    h := absorb !h (Int64.of_int n);
+    let i = ref 0 in
+    while !i <= n - 8 do
+      h := absorb !h (String.get_int64_le s !i);
+      i := !i + 8
+    done;
+    if !i < n then begin
+      let w = ref 0 in
+      for k = n - 1 downto !i do
+        w := (!w lsl 8) lor Char.code (String.unsafe_get s k)
+      done;
+      h := absorb !h (Int64.of_int !w)
+    end
   done;
-  Printf.sprintf "%016Lx" !h
+  Printf.sprintf "%016Lx" (fmix64 !h)
 
-let fnv1a64_hex s = fnv1a64_hex_parts [ s ]
+let hash64_hex s = hash64_hex_parts [ s ]
 
-let format_version = 1
+let format_version = 2
+
+(* Canonical keys hash this, not [format_version]: a v1 entry keeps its
+   file name, so a v2 reader finds it, sees the old stamp and replaces
+   it. *)
+let key_version = 1
 
 let magic = Printf.sprintf "ace-cache/%d" format_version
 
@@ -128,7 +157,7 @@ let parse_entry data =
           | Some len
             when String.length data - nl - 1 = len ->
               let payload = String.sub data (nl + 1) len in
-              if fnv1a64_hex payload = csum then Ok payload else Error `Corrupt
+              if hash64_hex payload = csum then Ok payload else Error `Corrupt
           | _ -> Error `Corrupt)
       | m :: _
         when String.length m > 10 && String.sub m 0 10 = "ace-cache/" && m <> magic
@@ -220,7 +249,7 @@ let store t key payload =
   try
     let path = entry_path t key in
     let header =
-      Printf.sprintf "%s %s %d\n" magic (fnv1a64_hex payload)
+      Printf.sprintf "%s %s %d\n" magic (hash64_hex payload)
         (String.length payload)
     in
     if t.faults.Faults.torn_write then begin

@@ -2,18 +2,30 @@
 
     Entries are content-addressed: the key is an FNV-1a 64 hash of the
     canonical CIF text of the checked design plus everything else that
-    shapes the result (quantum, part name, shard count, format version),
+    shapes the result (quantum, part name, shard count, {!key_version}),
     so a warm hit is byte-identical to the cold computation by
     construction and stale entries are unreachable rather than
     invalidated.  The cache sees only these canonical keys.  The server
     reaches them through an in-memory memo keyed by a request's raw CIF
     bytes, so a repeated request finds its entry without parsing or
-    canonicalising (see [Server]); both keys hash their fields with
-    {!fnv1a64_hex_parts}, which never copies the CIF.
+    canonicalising (see [Server]).
+
+    Two hashes serve three purposes:
+    - file names: FNV-1a ({!fnv1a64_hex_parts}), fixed from build to
+      build, so a cache directory outlives the daemon that wrote it;
+    - entry checksums: the word hash ({!hash64_hex}), which reads 8 bytes
+      per step, because a warm hit checksums its whole payload;
+    - the server's raw keys: the word hash too, over the whole request
+      CIF.  They never leave the process.
+    Neither copies its input's parts into one string.
 
     On-disk format, one file [<key>.ace] per entry:
 
-    {v ace-cache/1 <fnv64-hex-of-payload> <payload-length>\n<payload> v}
+    {v ace-cache/2 <word-hash-hex-of-payload> <payload-length>\n<payload> v}
+
+    Version 1 differed only in its checksum, FNV-1a.  Its files keep
+    their names, since {!key_version} did not change, and a version 2
+    reader deletes them as a version mismatch and recomputes.
 
     Writes are crash-safe: payload to a [.tmp.*] file, [fsync], atomic
     [rename] into place, directory fsync (best effort).  A crash before
@@ -41,14 +53,32 @@
 type t
 
 val fnv1a64_hex : string -> string
-(** FNV-1a 64-bit hash, as 16 lowercase hex digits. *)
+(** FNV-1a 64-bit hash ({!Ace_diag.Fnv.hex64}), as 16 lowercase hex
+    digits. *)
 
 val fnv1a64_hex_parts : string list -> string
 (** [fnv1a64_hex_parts parts = fnv1a64_hex (String.concat "\x00" parts)],
     without building the concatenation: a key over a multi-megabyte CIF
-    costs no copy of it. *)
+    costs no copy of it.  Names entry files. *)
 
-val format_version : int
+val hash64_hex : string -> string
+(** The word hash, as 16 lowercase hex digits: the entry checksum. *)
+
+val hash64_hex_parts : string list -> string
+(** The word hash of a list of parts, each framed by its length, so
+    [["ab"; "c"]] and [["a"; "bc"]] are different inputs.  Each step
+    reads 8 bytes with
+    [String.get_int64_le] and is a bijection of the word it reads, and
+    so is the finaliser: two inputs that differ only inside one 8-byte
+    word (a part's last 1 to 7 bytes count as one) never collide, so
+    every bit flip in a payload is caught.  Values are fixed by the
+    known-answer tests, but unlike file names they may change with the
+    entry format. *)
+
+val key_version : int
+(** The version field hashed into canonical keys, and so into file
+    names: 1.  It changes only when a key must stop finding its old
+    entries. *)
 
 val open_dir :
   ?max_mb:int -> ?max_bytes:int -> faults:Faults.t -> string -> (t, string) result

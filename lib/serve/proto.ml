@@ -7,16 +7,10 @@ let err_overloaded = "overloaded"
 let err_internal = "internal-error"
 
 (* Replies carry multi-megabyte wirelists, so rendering copies each byte
-   once per nesting level: [str] escapes into one buffer sized for a few
-   escapes per line, and [arr]/[obj] are a single [String.concat] over a
-   flat list of parts. *)
-let str s =
-  let n = String.length s in
-  let buf = Buffer.create (n + (n / 8) + 2) in
-  Buffer.add_char buf '"';
-  Ace_diag.Diag.json_escape_into buf s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+   once per nesting level: [str] builds its literal at its exact size,
+   and [arr]/[obj] are a single [String.concat] over a flat list of
+   parts. *)
+let str = Ace_diag.Diag.json_quote
 
 let int = string_of_int
 let bool = string_of_bool

@@ -138,13 +138,15 @@ let circuit_of_payload payload =
 
 (* A request reaches its cache entry by two keys over the same fields.
    The canonical key hashes the writer's rendering of the checked design,
-   so texts of one layout share an entry; it names the file on disk.  The
-   raw key hashes the request's CIF bytes as sent and is only looked up
-   in [t.memo], which maps it to the canonical key and the rendered
-   front-end diagnostics: a warm hit on bytes seen before neither parses
-   nor canonicalises.  The memo stays in memory because its diagnostics
-   come from this build's front end; a restarted daemon reaches its
-   persisted entries through the canonical key, once per distinct text. *)
+   so texts of one layout share an entry; it names the file on disk, so
+   it keeps FNV-1a from build to build.  The raw key hashes the request's
+   CIF bytes as sent, 8 at a time with {!Cache.hash64_hex_parts}, and is
+   only looked up in [t.memo], which maps it to the canonical key and the
+   rendered front-end diagnostics: a warm hit on bytes seen before
+   neither parses nor canonicalises.  The memo stays in memory because its
+   diagnostics come from this build's front end; a restarted daemon
+   reaches its persisted entries through the canonical key, once per
+   distinct text. *)
 
 type family = Circuit | Lvs
 
@@ -161,13 +163,13 @@ let circuit_fields ~name ~jobs ~tile =
 let canonical_key family fields design canonical =
   Cache.fnv1a64_hex_parts
     ((match family with Circuit -> [] | Lvs -> [ "lvs" ])
-    @ string_of_int Cache.format_version
+    @ string_of_int Cache.key_version
       :: string_of_int (Ace_cif.Design.quantum design)
       :: fields
     @ [ canonical ])
 
 let raw_key family fields cif =
-  Cache.fnv1a64_hex_parts
+  Cache.hash64_hex_parts
     (((match family with Circuit -> "raw" | Lvs -> "raw-lvs") :: fields)
     @ [ cif ])
 
@@ -693,10 +695,11 @@ let reader ic =
     line = Buffer.create 256;
   }
 
-let rec newline_at r i =
-  if i >= r.len then -1
-  else if Bytes.unsafe_get r.chunk i = '\n' then i
-  else newline_at r (i + 1)
+let newline_at r i =
+  (* the chunk is not written while it is scanned *)
+  let chunk = Bytes.unsafe_to_string r.chunk in
+  let nl = Ace_trace.Swar.newline_end chunk i r.len in
+  if nl < r.len then nl else -1
 
 (* Bounded line reader: a line longer than [limit] is drained to its
    newline without being buffered, so a hostile client cannot balloon

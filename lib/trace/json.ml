@@ -1,6 +1,9 @@
-(* Minimal JSON reader used to validate exported Chrome traces in tests
-   and the fuzz harness.  Not a general-purpose library: no streaming,
-   integers read as floats, \u escapes outside the BMP are not paired. *)
+(* Minimal JSON reader: the daemon's request reader ([Ace_serve.Proto]
+   parses every `aced` request line with it, so its accept/reject
+   decisions and error positions are part of the protocol), and the
+   validator of exported Chrome traces in tests and the fuzz harness.
+   Not a general-purpose library: no streaming, integers read as floats,
+   \u escapes outside the BMP are not paired. *)
 
 type t =
   | Null
@@ -56,7 +59,8 @@ let utf8_of_code b code =
   end
 
 (* Runs between escapes are copied whole: request CIF and cached
-   wirelists are megabytes of plain text with an escape per line. *)
+   wirelists are megabytes of plain text with an escape per line, and
+   [Swar] finds each run's end 8 bytes at a time. *)
 let parse_string st =
   expect st '"';
   let src = st.src in
@@ -64,14 +68,7 @@ let parse_string st =
   let b = Buffer.create 16 in
   let rec loop () =
     let start = st.pos in
-    while
-      st.pos < n
-      &&
-      let c = String.unsafe_get src st.pos in
-      c <> '"' && c <> '\\' && Char.code c >= 0x20
-    do
-      st.pos <- st.pos + 1
-    done;
+    st.pos <- Swar.json_plain_end src start n;
     Buffer.add_substring b src start (st.pos - start);
     if st.pos >= n then fail st "unterminated string";
     let c = src.[st.pos] in

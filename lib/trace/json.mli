@@ -1,4 +1,5 @@
-(** Minimal JSON reader for validating exported traces. *)
+(** Minimal JSON reader: `aced`'s request reader and the validator of
+    exported traces. *)
 
 type t =
   | Null

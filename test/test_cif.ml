@@ -334,6 +334,37 @@ let test_sample_corpus () =
         (Tutil.circuit_equal ~with_sizes:true flat hc))
     cifs
 
+(* A flat extraction reports the boxes its unwindowed stream popped in
+   place of [Design.count_boxes]'s walk of the hierarchy: the two counts
+   must agree on every layout under data/, broken ones included. *)
+let test_popped_boxes_counted () =
+  let dir =
+    List.find Sys.file_exists [ "../data"; "data"; "_build/default/data" ]
+  in
+  let cifs d =
+    Sys.readdir d |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".cif")
+    |> List.map (Filename.concat d)
+  in
+  let files = cifs dir @ cifs (Filename.concat dir "regress") in
+  check "corpus present" true (List.length files >= 10);
+  List.iter
+    (fun path ->
+      let ast, _ =
+        Ace_cif.Parser.parse_string_lenient
+          (In_channel.with_open_bin path In_channel.input_all)
+      in
+      let design, _ = Ace_cif.Design.of_ast_lenient ast in
+      let expected = Ace_cif.Design.count_boxes design in
+      let stream = Ace_cif.Stream.create design in
+      ignore (Ace_cif.Stream.drain stream);
+      check_int (path ^ ": drained stream") expected
+        (Ace_cif.Stream.boxes_popped stream);
+      let _, stats = Ace_core.Extractor.extract_with_stats design in
+      check_int (path ^ ": extraction stats") expected
+        stats.Ace_core.Extractor.boxes)
+    files
+
 (* ------------------------------------------------------------------ *)
 (* mmap lexer path                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -585,6 +616,8 @@ let () =
           Alcotest.test_case "lazy expansion" `Quick test_stream_lazy_expansion;
           Alcotest.test_case "layer index round trip" `Quick
             test_layer_of_index;
+          Alcotest.test_case "popped boxes = count_boxes on data/" `Quick
+            test_popped_boxes_counted;
         ] );
       ( "stats",
         [

@@ -647,6 +647,51 @@ let test_extraction_yields_per_stop () =
   check "yields at every scanline stop" true
     (!n >= stats.Ace_core.Extractor.stops && !n > 0)
 
+(* The sort-based terminal rule [channel_terminals] used before it
+   picked the two terminals in one scan: the oracle.  [List.sort] is
+   stable, so on a full tie the contact listed first wins. *)
+let channel_terminals_by_sort ~gate ~area ~contacts =
+  let contacts =
+    List.sort
+      (fun (_, la, pa, sa) (_, lb, pb, sb) ->
+        let c = Int.compare lb la in
+        if c <> 0 then c
+        else if Ace_core.Engine.edge_key_less (pa, sa) (pb, sb) then -1
+        else if Ace_core.Engine.edge_key_less (pb, sb) (pa, sa) then 1
+        else 0)
+      contacts
+  in
+  let source, drain, width =
+    match contacts with
+    | (n1, l1, _, _) :: (n2, l2, _, _) :: _ -> (n1, n2, (l1 + l2) / 2)
+    | [ (n1, l1, _, _) ] -> (n1, n1, l1 / 2)
+    | [] -> (gate, gate, max 1 (int_of_float (sqrt (float_of_int area))))
+  in
+  let width = max 1 width in
+  (source, drain, width, max 1 (area / width))
+
+(* Few lengths and positions, so length ties, key ties and full ties
+   (same length and same edge key) are common; each contact's net is its
+   index, so a wrong tie-break shows. *)
+let gen_contacts =
+  let open QCheck2.Gen in
+  let contact =
+    let* l = int_range 0 3 in
+    let* x = int_range 0 1 in
+    let* y = int_range 0 1 in
+    let* side = int_range 0 3 in
+    return (l, Point.make x y, side)
+  in
+  let* cs = list_size (int_range 0 7) contact in
+  let* area = int_range 0 40 in
+  return (area, List.mapi (fun n (l, p, side) -> (n + 100, l, p, side)) cs)
+
+let prop_channel_terminals_scan =
+  Tutil.qtest ~count:2000 "terminal scan = sort-based rule" gen_contacts
+    (fun (area, contacts) ->
+      Ace_core.Extractor.channel_terminals ~gate:7 ~area ~contacts
+      = channel_terminals_by_sort ~gate:7 ~area ~contacts)
+
 let () =
   Alcotest.run "core"
     [
@@ -682,6 +727,7 @@ let () =
           Alcotest.test_case "ring terminals" `Quick test_ring_transistor_single_terminal;
           Alcotest.test_case "mesh counts" `Quick test_mesh_counts;
           Alcotest.test_case "inverter L/W and terminals" `Quick test_inverter_lw;
+          prop_channel_terminals_scan;
         ] );
       ( "labels-and-geometry",
         [

@@ -574,6 +574,67 @@ let gen_json_literal =
 
 let prop_decode_matches_oracle src = decode_per_char src = decode_runs src
 
+(* The SWAR scanners against the byte loops they stand in front of, and
+   [Proto.str], which escapes the runs they find, against the per-char
+   escape.  Plain text with bytes >= 0x80 mixed in, then a few stop
+   bytes ('"', '\\', '\n' and other control bytes) at random offsets;
+   the last one falls in the final 7 bytes half the time, where no whole
+   word is left.  The scan starts and stops anywhere inside the string. *)
+let json_plain_end_bytes s i stop =
+  let i = ref i in
+  while
+    !i < stop
+    && (let c = s.[!i] in c <> '"' && c <> '\\' && Char.code c >= 0x20)
+  do
+    incr i
+  done;
+  !i
+
+let newline_end_bytes s i stop =
+  let i = ref i in
+  while !i < stop && s.[!i] <> '\n' do
+    incr i
+  done;
+  !i
+
+let gen_scan_input =
+  let open QCheck2.Gen in
+  let plain =
+    frequency
+      [
+        (8, map Char.chr (int_range 0x20 0x7f));
+        (2, map Char.chr (int_range 0x80 0xff));
+      ]
+  in
+  let stop_byte =
+    oneof
+      [
+        oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\000'; '\x1f' ];
+        map Char.chr (int_range 0 0x1f);
+      ]
+  in
+  let* n = int_range 0 70 in
+  let* base = string_size ~gen:plain (return n) in
+  let* stops = list_size (int_range 0 3) (pair (int_bound 1_000_000) stop_byte) in
+  let* tail = opt (pair (int_range 1 7) stop_byte) in
+  let b = Bytes.of_string base in
+  if n > 0 then begin
+    List.iter (fun (k, c) -> Bytes.set b (k mod n) c) stops;
+    Option.iter (fun (k, c) -> if k <= n then Bytes.set b (n - k) c) tail
+  end;
+  let* i = int_range 0 n in
+  let* stop = int_range i n in
+  return (Bytes.to_string b, i, stop)
+
+let prop_swar_scans (s, i, stop) =
+  Proto.str s = concat_str s
+  && Ace_trace.Swar.json_plain_end s i stop = json_plain_end_bytes s i stop
+  && Ace_trace.Swar.newline_end s i stop = newline_end_bytes s i stop
+  && Ace_trace.Swar.json_plain_end s 0 (String.length s)
+     = json_plain_end_bytes s 0 (String.length s)
+  && Ace_trace.Swar.newline_end s 0 (String.length s)
+     = newline_end_bytes s 0 (String.length s)
+
 let () =
   Alcotest.run "diag"
     [
@@ -592,6 +653,8 @@ let () =
             `Quick test_decode_cases;
           Tutil.qtest ~count:1000 "string decoder matches per-char oracle"
             gen_json_literal prop_decode_matches_oracle;
+          Tutil.qtest ~count:3000 "SWAR scans return the byte loops' index"
+            gen_scan_input prop_swar_scans;
         ] );
       ( "diag",
         [

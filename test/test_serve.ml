@@ -45,6 +45,14 @@ let aced_exe =
       List.find Sys.file_exists
         [ "../bin/aced.exe"; "_build/default/bin/aced.exe" ]
 
+(* The one-shot extractor: daemon replies must carry its -j1 wirelist. *)
+let ace_exe =
+  match Sys.getenv_opt "ACE" with
+  | Some p -> p
+  | None ->
+      List.find Sys.file_exists
+        [ "../bin/ace.exe"; "_build/default/bin/ace.exe" ]
+
 let failures = ref 0
 
 let check name ok =
@@ -984,6 +992,72 @@ let test_fnv_vectors () =
       [ "1"; "0"; "chip"; "1"; "-"; inverter_cif ];
     ]
 
+(* The entry checksum and raw key: the word hash.  The vectors pin its
+   values (an independent implementation of the algorithm in
+   [Cache.hash64_hex_parts] gives the same), with a part that is empty,
+   shorter than a word, exactly one word, and words plus a tail. *)
+let test_hash64_vectors () =
+  let h = Serve.Cache.hash64_hex and hp = Serve.Cache.hash64_hex_parts in
+  List.iter
+    (fun (s, expected) ->
+      check_s (Printf.sprintf "hash64: %S" s) (h s) expected)
+    [
+      ("", "969c56efd6604ca3");
+      ("a", "37574f4e0c795882");
+      ("foobar", "8eb6af3ee2a83f08");
+      ("1234567", "09d04eb213d3642e");
+      ("12345678", "f462fca4daa8e188");
+      ("123456789", "e65ffed7c28e8287");
+      ("The quick brown fox jumps over the lazy dog", "e2216031e0e35c1b");
+    ];
+  check_s "hash64 parts: one part = the string" (hp [ "foobar" ]) (h "foobar");
+  check_s "hash64 parts: [a; bc]" (hp [ "a"; "bc" ]) "78f13924fcf02084";
+  check_s "hash64 parts: [ab; c]" (hp [ "ab"; "c" ]) "793fc29e8ffcc28d";
+  check "hash64 parts: framed by length"
+    (hp [ "a"; "bc" ] <> hp [ "ab"; "c" ]
+    && hp [ ""; "a" ] <> hp [ "a"; "" ]
+    && hp [ "a" ] <> hp [ "a"; "" ]
+    && hp [ "\x00" ] <> hp [ "" ])
+
+(* Every single-bit flip of a 64-byte payload changes its checksum, and
+   the cache quarantines the flipped entry instead of serving it. *)
+let test_hash64_bit_flips () =
+  let module Cache = Serve.Cache in
+  let payload = String.init 64 (fun i -> Char.chr ((i * 37) land 0xff)) in
+  let sum = Cache.hash64_hex payload in
+  let flip bit =
+    let b = Bytes.of_string payload in
+    let i = bit / 8 in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+    Bytes.to_string b
+  in
+  let bits = List.init (8 * String.length payload) Fun.id in
+  check "hash64: every bit flip of a 64-byte payload changes the sum"
+    (List.for_all (fun bit -> Cache.hash64_hex (flip bit) <> sum) bits);
+  let dir = scratch () in
+  let c =
+    match Cache.open_dir ~faults:(Serve.Faults.none ()) dir with
+    | Ok c -> c
+    | Error m -> failwith m
+  in
+  let key = "00000000000000b1" in
+  let path = Filename.concat dir (key ^ ".ace") in
+  Cache.store c key payload;
+  let entry = In_channel.with_open_bin path In_channel.input_all in
+  let header = String.length entry - String.length payload in
+  check "bit flips: entry holds the payload after its header"
+    (String.sub entry header (String.length payload) = payload);
+  let served =
+    List.filter
+      (fun bit ->
+        write_file path (String.sub entry 0 header ^ flip bit);
+        Cache.find c key <> None)
+      bits
+  in
+  check "bit flips: no flipped entry served" (served = []);
+  check "bit flips: every flipped entry quarantined"
+    ((Cache.stats c).Cache.quarantined = List.length bits)
+
 (* ------------------------------------------------------------------ *)
 (* 11b. No head-of-line blocking: warm hits run beside a cold request *)
 
@@ -1367,6 +1441,127 @@ let test_canonical_names () =
   check "canonical names: inverter lvs entry"
     (Sys.file_exists (Filename.concat dir "a3bf98d447d19130.ace"))
 
+(* A file stamped with the previous entry format under a current
+   canonical name: the name still finds it, the stamp reads as a version
+   mismatch, and the entry is deleted and recomputed, not quarantined. *)
+let test_v1_entry_replaced () =
+  let dir = scratch () in
+  let req = extract_req ~id:1 ~jobs:1 inverter_cif in
+  let cold =
+    match run_once ~args:[ "--cache-dir"; dir ] [ req ] with
+    | [ r ] -> r
+    | _ -> failwith "v1 entry: expected one reply"
+  in
+  let path = Filename.concat dir "5ec1661c47acf3e3.ace" in
+  let entry = In_channel.with_open_bin path In_channel.input_all in
+  let nl = String.index entry '\n' in
+  let payload = String.sub entry (nl + 1) (String.length entry - nl - 1) in
+  check "v1 entry: current entries are stamped ace-cache/2"
+    (String.starts_with ~prefix:"ace-cache/2 " entry);
+  write_file path
+    (Printf.sprintf "ace-cache/1 %s %d\n%s"
+       (Serve.Cache.fnv1a64_hex payload)
+       (String.length payload) payload);
+  match
+    run_once ~args:[ "--cache-dir"; dir ] [ req; {|{"id":2,"op":"stats"}|} ]
+  with
+  | [ again; stats ] ->
+      check "v1 entry: recomputed, not served"
+        (jbool (jget (jparse again) "ok") && not (cached_flag again));
+      check_s "v1 entry: recomputed result = the cold result"
+        (result_fragment again) (result_fragment cold);
+      check "v1 entry: not quarantined"
+        (jnum (jget (jget (jparse stats) "cache") "quarantined") = 0
+        && not (Sys.file_exists (path ^ ".quarantined")));
+      check_s "v1 entry: replaced by a v2 entry"
+        (In_channel.with_open_bin path In_channel.input_all)
+        entry
+  | _ -> check "v1 entry: two replies" false
+
+(* Two connections send one extract request at the same moment, cold and
+   then warm.  Every result is the same bytes, equal to a --once reply and
+   carrying `ace -j1`'s wirelist. *)
+let test_concurrent_identical () =
+  let chip = chain_cif 60 in
+  let dir = scratch () in
+  let cif_path = Filename.concat dir "chip.cif" in
+  let wl_path = Filename.concat dir "chip.wl" in
+  write_file cif_path chip;
+  let null = devnull () in
+  let pid =
+    Unix.create_process ace_exe
+      [| ace_exe; "-j1"; "--name"; "chip"; cif_path; "-o"; wl_path |]
+      null Unix.stdout Unix.stderr
+  in
+  Unix.close null;
+  let _, status = Unix.waitpid [] pid in
+  check "concurrent: ace -j1 exits 0" (status = Unix.WEXITED 0);
+  let ace_wl = In_channel.with_open_bin wl_path In_channel.input_all in
+  let once =
+    match run_once ~args:[ "--no-cache" ] [ extract_req ~id:1 chip ] with
+    | [ r ] -> result_fragment r
+    | _ -> failwith "concurrent: expected one --once reply"
+  in
+  let sock = Filename.concat dir "s.sock" in
+  let pid =
+    start_socket_daemon [ "--cache-dir"; Filename.concat dir "cache" ] sock
+  in
+  let conns = Array.init 2 (fun _ -> connect sock) in
+  let round () =
+    let replies = Array.make 2 "" in
+    let go = Atomic.make false in
+    let threads =
+      Array.mapi
+        (fun i conn ->
+          Thread.create
+            (fun () ->
+              while not (Atomic.get go) do
+                Thread.yield ()
+              done;
+              replies.(i) <- rpc conn (extract_req ~id:(i + 1) chip))
+            ())
+        conns
+    in
+    Atomic.set go true;
+    Array.iter Thread.join threads;
+    Array.to_list replies
+  in
+  let cold = round () in
+  let warm = round () in
+  let replies = cold @ warm in
+  check "concurrent: every reply ok"
+    (List.for_all (fun r -> jbool (jget (jparse r) "ok")) replies);
+  check "concurrent: the second round is warm" (List.for_all cached_flag warm);
+  check "concurrent: every result = the --once result"
+    (List.for_all (fun r -> result_fragment r = once) replies);
+  check "concurrent: every wirelist = ace -j1's"
+    (List.for_all
+       (fun r -> jstr (jget (jget (jparse r) "result") "wirelist") = ace_wl)
+       replies);
+  Array.iter close_conn conns;
+  shutdown_daemon pid sock
+
+(* The replies to a corpus of malformed requests (unterminated strings
+   at every alignment, bad and short \u escapes, raw control bytes,
+   trailing garbage) and a few well-formed strings the decoder must copy
+   exactly, recorded from a build that scanned one byte at a time. *)
+let test_malformed_corpus () =
+  let file name =
+    In_channel.with_open_bin
+      (List.find Sys.file_exists [ name; Filename.concat "test" name ])
+      In_channel.input_all
+  in
+  let requests =
+    String.split_on_char '\n' (file "serve_malformed.jsonl")
+    |> List.filter (( <> ) "")
+  in
+  let replies = run_once ~args:[ "--no-cache" ] requests in
+  check "malformed corpus: one reply per request"
+    (List.length replies = List.length requests);
+  check_s "malformed corpus: replies = the recorded bytes"
+    (String.concat "" (List.map (fun r -> r ^ "\n") replies))
+    (file "serve_malformed.expected")
+
 (* ------------------------------------------------------------------ *)
 (* 17. The chunked request reader, in-process                         *)
 
@@ -1441,6 +1636,8 @@ let () =
   test_cache_unit ();
   test_cache_concurrent_store ();
   test_fnv_vectors ();
+  test_hash64_vectors ();
+  test_hash64_bit_flips ();
   test_warm_beside_cold ();
   test_fault_specs ();
   test_oom_soft ();
@@ -1451,6 +1648,9 @@ let () =
   test_raw_memo_budget ();
   test_raw_no_cache ();
   test_canonical_names ();
+  test_v1_entry_replaced ();
+  test_concurrent_identical ();
+  test_malformed_corpus ();
   test_reader ();
   rm_rf scratch_base;
   if !failures > 0 then begin

@@ -37,6 +37,22 @@ let config ?(jobs = 1) ?cache ?(max_request_bytes = 8 * 1024 * 1024)
    rendered front-end diagnostics. *)
 type memo_entry = { canonical : string; diags : string }
 
+(* The compute domain's FIFO and its counters.  [queue], [busy] and
+   [started] are guarded by [lock]; [changed] is broadcast when a job is
+   queued, when a miss ends and when a job's result is ready. *)
+type compute = {
+  lock : Mutex.t;
+  changed : Condition.t;
+  queue : (unit -> unit) Queue.t;
+  mutable busy : bool;  (* a miss is running, inline or on the domain *)
+  mutable started : bool;  (* the domain exists *)
+  overlap : bool Atomic.t;
+      (* a compute request was admitted beside another since the last
+         miss began *)
+  offloaded : int Atomic.t;  (* misses pushed to [queue] *)
+  inline : int Atomic.t;  (* misses run on a connection thread *)
+}
+
 type t = {
   config : config;
   inflight : int Atomic.t;
@@ -45,7 +61,7 @@ type t = {
   failed : int Atomic.t;
   stop : bool Atomic.t;
   started_ns : int64;
-  extract_lock : Mutex.t;
+  compute : compute;
   socket_path : string option Atomic.t;
   memo : (string, memo_entry) Hashtbl.t;
   memo_lock : Mutex.t;
@@ -61,7 +77,17 @@ let create config =
     failed = Atomic.make 0;
     stop = Atomic.make false;
     started_ns = Trace.now_ns ();
-    extract_lock = Mutex.create ();
+    compute =
+      {
+        lock = Mutex.create ();
+        changed = Condition.create ();
+        queue = Queue.create ();
+        busy = false;
+        started = false;
+        overlap = Atomic.make false;
+        offloaded = Atomic.make 0;
+        inline = Atomic.make 0;
+      };
     socket_path = Atomic.make None;
     memo = Hashtbl.create 64;
     memo_lock = Mutex.create ();
@@ -87,29 +113,131 @@ let too_large t =
 let diags_json diags = Proto.arr (List.map (fun d -> Diag.to_json d) diags)
 
 (* ------------------------------------------------------------------ *)
-(* Compute path                                                       *)
+(* The compute domain                                                 *)
 
-(* Serialize heavy work: shards of concurrent requests would otherwise
-   multiply domains.  Waiters poll their cancel token (which also yields
-   the domain), so a queued request still honours its deadline. *)
-let with_extract_lock t cancel f =
+(* Every connection thread shares the main domain and its runtime lock.
+   A cache miss run there makes each warm hit beside it win that lock
+   back at every blocking call (the entry read, the reply write).  So a
+   miss that has company runs as a job on a domain of its own: one that
+   starts while another compute request is in flight, or after one was
+   admitted beside another since the previous miss began (a warm client
+   between two of its requests is still company).  The domain then
+   stays: spawning it again for each busy spell grew the daemon by
+   about 0.3 MB a spell.  A lone miss runs inline, where it is fastest,
+   so a one-connection session never starts the domain, and a lone
+   client after a busy spell runs at most one miss on it.  One miss
+   runs at a time, inline or as a job, so shards of concurrent requests
+   do not multiply domains, and identical misses queued behind one
+   another find the entry the first stored. *)
+
+(* [c.lock] held: a miss has ended. *)
+let release c =
+  c.busy <- false;
+  Condition.broadcast c.changed
+
+let rec work c =
+  let job =
+    Mutex.protect c.lock (fun () ->
+        while c.busy || Queue.is_empty c.queue do
+          Condition.wait c.changed c.lock
+        done;
+        c.busy <- true;
+        Queue.pop c.queue)
+  in
+  job ();
+  work c
+
+(* [c.lock] held, so a request that needs the domain while it is being
+   spawned waits for the outcome.  One that cannot be spawned is tried
+   again by the next miss with company; this one runs inline. *)
+let domain_up c =
+  if not c.started then
+    c.started <-
+      (match Domain.spawn (fun () -> work c) with
+      | (_ : _ Domain.t) -> true
+      | exception _ -> false);
+  c.started
+
+(* Run [f x] on this thread once no other miss runs.  A lone miss finds
+   none; only misses that could not reach the domain wait, polling the
+   token as a queued job's waiter does. *)
+let run_inline c ~cancel f x =
   let rec acquire () =
-    if Mutex.try_lock t.extract_lock then ()
-    else begin
+    if
+      not
+        (Mutex.protect c.lock (fun () ->
+             (not c.busy) && (c.busy <- true; true)))
+    then begin
       Cancel.check cancel;
       Unix.sleepf 0.001;
       acquire ()
     end
   in
   acquire ();
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.extract_lock) f
+  Atomic.incr c.inline;
+  Fun.protect
+    (fun () -> f x)
+    ~finally:(fun () -> Mutex.protect c.lock (fun () -> release c))
+
+(* Queue [f x] and wait for its result.  Without a deadline the waiter
+   sleeps on a condition; with one it polls its token, so a request
+   queued behind a long job still gets a prompt [deadline-exceeded].
+   The job checks the same token before it starts, so a request given
+   up while queued never runs and never stores.  The job lets go of [x]
+   as it starts, so what [f] is done with can be freed while it runs. *)
+let offload c ~cancel f x =
+  let result = ref None and arg = ref (Some x) in
+  let job () =
+    let r =
+      match
+        Cancel.check cancel;
+        let x = Option.get !arg in
+        arg := None;
+        f x
+      with
+      | v -> Ok v
+      | exception e -> Error e
+    in
+    Mutex.protect c.lock (fun () ->
+        result := Some r;
+        release c)
+  in
+  Mutex.protect c.lock (fun () ->
+      Queue.push job c.queue;
+      Atomic.incr c.offloaded;
+      Condition.broadcast c.changed);
+  let r =
+    if Cancel.remaining_ms cancel = None then
+      Mutex.protect c.lock (fun () ->
+          let rec wait () =
+            match !result with
+            | Some r -> r
+            | None ->
+                Condition.wait c.changed c.lock;
+                wait ()
+          in
+          wait ())
+    else
+      let rec poll () =
+        match Mutex.protect c.lock (fun () -> !result) with
+        | Some r -> r
+        | None ->
+            Cancel.check cancel;
+            Unix.sleepf 0.001;
+            poll ()
+      in
+      poll ()
+  in
+  match r with Ok v -> v | Error e -> raise e
+
+(* ------------------------------------------------------------------ *)
+(* Compute path                                                       *)
 
 let run_extract t ~cancel ~jobs ~tile ~name design =
   let on_shard idx =
     if t.config.faults.Faults.shard_raise && idx > 0 then
       failwith (Printf.sprintf "injected shard fault (shard %d)" idx)
   in
-  with_extract_lock t cancel @@ fun () ->
   Parallel.extract_with_stats ~cancel ~on_shard ~jobs ?tile ~name design
 
 (* The cached payload: the complete per-op result object, so a warm
@@ -205,11 +333,14 @@ let memo_add t raw m =
 (* A request's CIF and, built on first use, its checked design with the
    rendered front-end diagnostics, and its canonical text.  One request
    may look up two entries (flat LVS and the circuit under it); both
-   share one parse and one rendering. *)
+   share one parse and one rendering.  [in_miss] is set once the
+   request's first miss starts: a lookup after it (the circuit under a
+   flat LVS) is part of that miss, wherever it runs. *)
 type front = {
   cif : string;
   checked : (Ace_cif.Design.t * string) Lazy.t;
   canonical_text : string Lazy.t;
+  mutable in_miss : bool;
 }
 
 let front_of_cif cif =
@@ -223,19 +354,42 @@ let front_of_cif cif =
     lazy
       (Ace_cif.Writer.to_string (Ace_cif.Design.ast (fst (Lazy.force checked))))
   in
-  { cif; checked; canonical_text }
+  { cif; checked; canonical_text; in_miss = false }
 
-(* [cached t ~use_cache family fields front ~of_payload ~compute] is
-   (value, cached?, diags).  A warm hit costs one hash over the CIF, a
-   memo lookup and the cache read.  Otherwise the request parses, keys by
-   the canonical text and looks up again, so a different text of a known
-   layout still hits.  Misses, including entries evicted, quarantined or
-   unreadable by [of_payload] since the memo saw them, run [compute] and
-   store the payload it returns, which heals the cache.  Without a cache
-   no key is hashed and the memo is left alone. *)
-let cached t ~use_cache family fields front ~of_payload ~compute =
+(* Run the miss path [f front] inline or on the compute domain, as the
+   comment on the compute domain above sets out.  [front] is passed, not
+   captured by [f], so the parse and the canonical text are dropped at
+   their last use, before the extraction's payload is rendered. *)
+let on_miss t ~cancel front f =
+  if front.in_miss then f front
+  else begin
+    front.in_miss <- true;
+    let c = t.compute in
+    let company =
+      Atomic.exchange c.overlap false || Atomic.get t.inflight >= 2
+    in
+    let offload_it =
+      Mutex.protect c.lock (fun () ->
+          (company || c.busy || not (Queue.is_empty c.queue)) && domain_up c)
+    in
+    if offload_it then offload c ~cancel f front
+    else run_inline c ~cancel f front
+  end
+
+(* [cached t ~cancel ~use_cache family fields front ~of_payload ~compute]
+   is (value, cached?, diags).  A warm hit costs one hash over the CIF, a
+   memo lookup and the cache read, all on the connection thread.
+   Otherwise the miss runs through {!on_miss}: the request parses, keys
+   by the canonical text and looks up again, so a different text of a
+   known layout still hits, and so does an identical request queued
+   behind the miss that stored it.  Misses, including entries evicted,
+   quarantined or unreadable by [of_payload] since the memo saw them, run
+   [compute] and store the payload it returns, which heals the cache.
+   Without a cache no key is hashed and the memo is left alone. *)
+let cached t ~cancel ~use_cache family fields front ~of_payload ~compute =
   match if use_cache then t.config.cache else None with
   | None ->
+      on_miss t ~cancel front @@ fun front ->
       let design, diags = Lazy.force front.checked in
       (fst (compute design), false, diags)
   | Some c -> (
@@ -249,6 +403,7 @@ let cached t ~use_cache family fields front ~of_payload ~compute =
       match Option.bind memo hit with
       | Some (v, m) -> (v, true, m.diags)
       | None ->
+          on_miss t ~cancel front @@ fun front ->
           let design, diags = Lazy.force front.checked in
           let key, found =
             match memo with
@@ -276,7 +431,7 @@ let cached t ~use_cache family fields front ~of_payload ~compute =
    of it.  Every miss stores the payload [extract] would store. *)
 let circuit_lookup t ~cancel ~use_cache ~jobs ~tile ~name front ~of_payload
     ~value =
-  cached t ~use_cache Circuit
+  cached t ~cancel ~use_cache Circuit
     (circuit_fields ~name ~jobs ~tile)
     front ~of_payload
     ~compute:(fun design ->
@@ -305,9 +460,9 @@ let request_params t (r : Proto.request) =
     | Some ms -> ms
     | None -> t.config.default_deadline_ms
   in
-  (* Every connection thread shares this domain.  Yielding at each cancel
-     checkpoint lets a waiting warm hit run beside a cold extraction
-     instead of waiting for the runtime's 50 ms tick. *)
+  (* An inline miss runs on the domain the connection threads share.
+     Yielding at each cancel checkpoint lets a warm hit that arrives
+     beside it run instead of waiting for the runtime's 50 ms tick. *)
   let cancel =
     if deadline_ms > 0 then
       Cancel.with_deadline_ms ~yield:Thread.yield deadline_ms
@@ -517,7 +672,7 @@ let do_lvs t (r : Proto.request) front =
           ]
       in
       let computed, cached, diags =
-        cached t ~use_cache Lvs fields front
+        cached t ~cancel ~use_cache Lvs fields front
           ~of_payload:(fun p -> Some (Ok p))
           ~compute:(fun design ->
             match
@@ -565,6 +720,19 @@ let stats_reply t id =
             ("evictions", Proto.int s.Cache.evictions);
           ]
   in
+  let compute =
+    let c = t.compute in
+    let started, queued =
+      Mutex.protect c.lock (fun () -> (c.started, Queue.length c.queue))
+    in
+    Proto.obj
+      [
+        ("domain", Proto.bool started);
+        ("offloaded", Proto.int (Atomic.get c.offloaded));
+        ("inline", Proto.int (Atomic.get c.inline));
+        ("queued", Proto.int queued);
+      ]
+  in
   let uptime_ms =
     Int64.to_int (Int64.div (Int64.sub (Trace.now_ns ()) t.started_ns) 1_000_000L)
   in
@@ -577,6 +745,7 @@ let stats_reply t id =
       ("uptime_ms", Proto.int uptime_ms);
       ("jobs", Proto.int t.config.jobs);
       ("faults", Proto.arr (List.map Proto.str (Faults.to_specs t.config.faults)));
+      ("compute", compute);
       ("counters", counters);
       ("cache", cache);
     ]
@@ -598,7 +767,8 @@ let gc_reply t id =
         ]
 
 (* Admission control for compute ops: beyond [max_inflight], reject
-   immediately — bounded queue depth and memory under overload. *)
+   immediately — bounded queue depth and memory under overload.  A
+   request admitted beside another is company for the next miss. *)
 let with_admission t (r : Proto.request) f =
   let n = Atomic.fetch_and_add t.inflight 1 in
   if n >= t.config.max_inflight then begin
@@ -609,10 +779,12 @@ let with_admission t (r : Proto.request) f =
       ~extra:[ ("retry_after_ms", Proto.int t.config.retry_after_ms) ]
       "server at capacity"
   end
-  else
+  else begin
+    if n >= 1 then Atomic.set t.compute.overlap true;
     Fun.protect
       ~finally:(fun () -> ignore (Atomic.fetch_and_add t.inflight (-1)))
       f
+  end
 
 let compute t (r : Proto.request) f =
   with_admission t r @@ fun () ->
@@ -774,8 +946,10 @@ let handle_connection t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   (try serve_channel t ic oc with _ -> ());
-  (try close_out_noerr oc with _ -> ());
-  (try close_in_noerr ic with _ -> ());
+  (* Both channels are on [fd]: closing each would close it twice, and
+     the second close could hit a connection accepted in between under
+     the same number. *)
+  close_out_noerr oc;
   if stopping t then wake_listener t
 
 let serve_socket t path =

@@ -15,8 +15,18 @@
       and the flow solver; expiry raises out of the hot loop and is
       mapped to a ["deadline-exceeded"] error reply (counted by the
       [deadline_kills] counter).  The token is also polled while a
-      request waits its turn for the extraction lock, so queued
-      requests time out too.
+      request waits its turn on the compute domain, so queued requests
+      time out too, and a request given up while queued never runs.
+    - {b the compute domain}: a cache miss with company (another
+      compute request in flight, or one admitted beside another since
+      the previous miss began) runs its miss path (parse, canonical
+      key, lookup, extraction, LVS, payload and store) as a job on a
+      domain of its own, started for the first such miss and kept,
+      while the connection thread keeps the warm path (request, raw-key
+      memo, entry read, reply).  A lone miss runs inline on its
+      connection thread.  One miss runs at a time, inline or as a job,
+      so identical misses queued behind one another find the entry the
+      first stored.  [stats] reports the domain under ["compute"].
     - {b backpressure}: at most [max_inflight] compute requests run at
       once; beyond that, requests are rejected immediately with an
       ["overloaded"] reply carrying [retry_after_ms] — bounded memory

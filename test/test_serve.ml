@@ -17,7 +17,15 @@
    - SIGKILL + restart: stale temp files are swept and the persisted
      cache serves byte-identical warm results;
    - warm hits keep completing while a cold extraction runs on another
-     connection (no head-of-line blocking on the daemon's one domain);
+     connection, inline on the connection threads' domain and on the
+     compute domain alike (no head-of-line blocking);
+   - a miss with company runs on the compute domain: a request whose
+     deadline expires while it is queued there gets a prompt
+     deadline-exceeded and never stores, a raising job becomes an
+     internal-error and the domain serves the next miss, identical
+     misses queued behind one another extract once, and shutdown
+     during a job exits 0; a one-connection session never starts the
+     domain, and a lone miss runs inline even once it exists;
    - sustained overload yields structured overloaded rejections;
    - oversized request lines are drained and rejected without ballooning
      memory, and the connection stays usable;
@@ -151,8 +159,9 @@ let start_daemon args =
   Unix.close null;
   pid
 
+(* cloexec: a daemon spawned later must not hold this connection open *)
 let connect path =
-  let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let s = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   try
     Unix.connect s (Unix.ADDR_UNIX path);
     (Unix.in_channel_of_descr s, Unix.out_channel_of_descr s, s)
@@ -188,22 +197,27 @@ let rpc (ic, oc, _) line =
   flush oc;
   input_line ic
 
-let reap ?(timeout = 20.0) pid =
+(* The child's exit status, or [None] when it had to be killed after
+   [timeout] seconds. *)
+let exit_status ?(timeout = 20.0) pid =
   let deadline = Unix.gettimeofday () +. timeout in
   let rec go () =
     match Unix.waitpid [ Unix.WNOHANG ] pid with
     | 0, _ ->
         if Unix.gettimeofday () > deadline then begin
           Unix.kill pid Sys.sigkill;
-          ignore (Unix.waitpid [] pid)
+          ignore (Unix.waitpid [] pid);
+          None
         end
         else begin
           Unix.sleepf 0.02;
           go ()
         end
-    | _ -> ()
+    | _, status -> Some status
   in
   go ()
+
+let reap ?timeout pid = ignore (exit_status ?timeout pid)
 
 let shutdown_daemon pid sock =
   (match connect sock with
@@ -291,6 +305,72 @@ let reference_wirelist cif =
   let design, _ = Ace_cif.Design.of_ast_lenient ast in
   Ace_netlist.Wirelist.to_string
     (Ace_core.Parallel.extract ~jobs:1 ~name:"chip" design)
+
+(* riscb at full size: a cold extract of about half a second. *)
+let riscb_cif =
+  lazy
+    (let riscb =
+       List.find (fun r -> r.Chips.chip_name = "riscb") Chips.paper_suite
+     in
+     Ace_cif.Writer.to_string
+       (Ace_cif.Design.ast (riscb.Chips.build ~scale:1.0)))
+
+(* ------------------------------------------------------------------ *)
+(* The compute domain, as [stats] reports it                          *)
+
+let stats conn = jparse (rpc conn {|{"id":0,"op":"stats"}|})
+let compute_stats conn = jget (stats conn) "compute"
+let compute_count conn k = jnum (jget (compute_stats conn) k)
+let domain_started conn = jbool (jget (compute_stats conn) "domain")
+let cache_stores conn = jnum (jget (jget (stats conn) "cache") "stores")
+
+(* Misses run so far, inline or on the compute domain, from one [stats]
+   reply's "compute" object. *)
+let misses c = jnum (jget c "inline") + jnum (jget c "offloaded")
+
+(* Poll [stats] until [cond conn] holds; false after [timeout] seconds. *)
+let await ?(timeout = 20.0) conn cond =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    if cond conn then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      Unix.sleepf 0.005;
+      go ()
+    end
+  in
+  go ()
+
+(* Send [req] on a fresh connection from a thread; [join] returns the
+   reply, or "" when the connection ended without one. *)
+let send_async sock req =
+  let reply = ref "" in
+  let th =
+    Thread.create
+      (fun () ->
+        let c = connect sock in
+        (try reply := rpc c req with End_of_file | Sys_error _ -> ());
+        close_conn c)
+      ()
+  in
+  fun () ->
+    Thread.join th;
+    !reply
+
+(* Send a cold riscb extract (one shard) on a fresh connection and wait
+   until its miss runs, inline or as a job.  A miss sent while it is in
+   flight has company: it runs on the compute domain, queued behind it.
+   Returns the join of {!send_async}. *)
+let miss_ahead ?(cache = false) sock conn =
+  let base = misses (compute_stats conn) in
+  let join =
+    send_async sock (extract_req ~jobs:1 ~cache (Lazy.force riscb_cif))
+  in
+  check "a miss ahead is running"
+    (await conn (fun c ->
+         let s = compute_stats c in
+         misses s = base + 1 && jnum (jget s "queued") = 0));
+  join
 
 (* ------------------------------------------------------------------ *)
 (* 1. --once basics: ping, typed errors, totality                     *)
@@ -420,6 +500,14 @@ let test_socket_extract () =
   let cache_stats = jget stats "cache" in
   check "stats: cache hits and stores counted"
     (jnum (jget cache_stats "hits") >= 1 && jnum (jget cache_stats "stores") >= 1);
+  (* one connection never has two requests in flight: its misses ran
+     inline and the compute domain never started *)
+  let compute = jget stats "compute" in
+  check "stats: a one-connection session never starts the compute domain"
+    ((not (jbool (jget compute "domain")))
+    && jnum (jget compute "offloaded") = 0
+    && jnum (jget compute "queued") = 0
+    && jnum (jget compute "inline") >= 3);
   close_conn conn;
   shutdown_daemon pid sock;
   check "shutdown: socket file removed" (not (Sys.file_exists sock))
@@ -1061,11 +1149,16 @@ let test_hash64_bit_flips () =
 (* ------------------------------------------------------------------ *)
 (* 11b. No head-of-line blocking: warm hits run beside a cold request *)
 
-(* All connection threads share the daemon's one domain.  A cold
-   extraction yields at its cancel checkpoints, so warm hits on another
-   connection keep completing while it runs instead of waiting one 50 ms
-   runtime tick each. *)
-let test_warm_beside_cold () =
+(* All connection threads share the daemon's main domain.  A cold
+   extraction with no company runs there and yields at its cancel
+   checkpoints, so warm hits on another connection keep completing while
+   it runs instead of waiting one 50 ms runtime tick each: here the warm
+   client starts once the cold miss runs, so the miss had no company and
+   ran inline.  With [~domain], a first cold request beside the warm
+   hits makes them company for the measured one, which runs on the
+   compute domain, under the same bound. *)
+let test_warm_beside_cold ~domain () =
+  let label = if domain then "no-hol (compute domain)" else "no-hol" in
   let dir = scratch () in
   let sock = Filename.concat dir "s.sock" in
   let cache_dir = Filename.concat dir "cache" in
@@ -1073,28 +1166,33 @@ let test_warm_beside_cold () =
   let conn_b = connect sock in
   let warm_req = extract_req ~id:1 inverter_cif in
   let primed = jparse (rpc conn_b warm_req) in
-  check "no-hol: small chip primed" (jbool (jget primed "ok"));
-  let riscb =
-    List.find (fun r -> r.Chips.chip_name = "riscb") Chips.paper_suite
-  in
-  let cold_req =
-    extract_req ~id:2
-      (Ace_cif.Writer.to_string
-         (Ace_cif.Design.ast (riscb.Chips.build ~scale:1.0)))
-  in
+  check (label ^ ": small chip primed") (jbool (jget primed "ok"));
+  let base = compute_stats conn_b in
+  let cold_req = extract_req ~id:2 (Lazy.force riscb_cif) in
   let sent_at = Atomic.make infinity and replied_at = Atomic.make infinity in
-  let cold_ok = ref false in
+  let cold_ok = ref false and offloaded = ref false in
   let a =
     Thread.create
       (fun () ->
         let conn_a = connect sock in
+        if domain then
+          ignore
+            (rpc conn_a (extract_req ~id:3 ~cache:false (Lazy.force riscb_cif)));
+        let before = compute_count conn_a "offloaded" in
         Atomic.set sent_at (Unix.gettimeofday ());
         let r = jparse (rpc conn_a cold_req) in
         Atomic.set replied_at (Unix.gettimeofday ());
         cold_ok := jbool (jget r "ok") && not (jbool (jget r "cached"));
+        offloaded := compute_count conn_a "offloaded" = before + 1;
         close_conn conn_a)
       ()
   in
+  if not domain then
+    check (label ^ ": the cold miss ran inline")
+      (await conn_b (fun c ->
+           let s = compute_stats c in
+           jnum (jget s "inline") = jnum (jget base "inline") + 1
+           && jnum (jget s "offloaded") = jnum (jget base "offloaded")));
   (* count only the hits that completed while A was in flight *)
   let hits = ref 0 and all_cached = ref true in
   while Atomic.get replied_at = infinity do
@@ -1107,11 +1205,13 @@ let test_warm_beside_cold () =
   Thread.join a;
   let a_wall = Atomic.get replied_at -. Atomic.get sent_at in
   let needed = int_of_float (5.0 *. a_wall /. 0.050) in
-  check "no-hol: cold request ok" !cold_ok;
-  check "no-hol: every warm reply cached" !all_cached;
-  Printf.printf "  no-hol: %d warm hits during a %.3f s cold request (need %d)\n%!"
-    !hits a_wall needed;
-  check "no-hol: warm hits keep flowing" (!hits >= needed);
+  check (label ^ ": cold request ok") !cold_ok;
+  check (label ^ ": every warm reply cached") !all_cached;
+  Printf.printf "  %s: %d warm hits during a %.3f s cold request (need %d)\n%!"
+    label !hits a_wall needed;
+  check (label ^ ": warm hits keep flowing") (!hits >= needed);
+  if domain then
+    check (label ^ ": the cold miss ran on the compute domain") !offloaded;
   close_conn conn_b;
   shutdown_daemon pid sock
 
@@ -1478,15 +1578,11 @@ let test_v1_entry_replaced () =
         entry
   | _ -> check "v1 entry: two replies" false
 
-(* Two connections send one extract request at the same moment, cold and
-   then warm.  Every result is the same bytes, equal to a --once reply and
-   carrying `ace -j1`'s wirelist. *)
-let test_concurrent_identical () =
-  let chip = chain_cif 60 in
-  let dir = scratch () in
+(* `ace -j1 --name chip`'s wirelist for [cif], written under [dir]. *)
+let ace_j1_wirelist dir cif =
   let cif_path = Filename.concat dir "chip.cif" in
   let wl_path = Filename.concat dir "chip.wl" in
-  write_file cif_path chip;
+  write_file cif_path cif;
   let null = devnull () in
   let pid =
     Unix.create_process ace_exe
@@ -1496,7 +1592,19 @@ let test_concurrent_identical () =
   Unix.close null;
   let _, status = Unix.waitpid [] pid in
   check "concurrent: ace -j1 exits 0" (status = Unix.WEXITED 0);
-  let ace_wl = In_channel.with_open_bin wl_path In_channel.input_all in
+  In_channel.with_open_bin wl_path In_channel.input_all
+
+(* Two connections send one extract request at the same moment, cold and
+   then warm.  Every result is the same bytes, equal to a --once reply and
+   carrying `ace -j1`'s wirelist.  A third round sends a fresh layout
+   (riscb, about half a second cold) on three connections at once: all
+   three miss, each has company but perhaps the first, one miss runs at
+   a time, and the two behind the first find the entry it stored, so
+   the three cost one extraction and one store. *)
+let test_concurrent_identical () =
+  let chip = chain_cif 60 in
+  let dir = scratch () in
+  let ace_wl = ace_j1_wirelist dir chip in
   let once =
     match run_once ~args:[ "--no-cache" ] [ extract_req ~id:1 chip ] with
     | [ r ] -> result_fragment r
@@ -1506,9 +1614,9 @@ let test_concurrent_identical () =
   let pid =
     start_socket_daemon [ "--cache-dir"; Filename.concat dir "cache" ] sock
   in
-  let conns = Array.init 2 (fun _ -> connect sock) in
-  let round () =
-    let replies = Array.make 2 "" in
+  let conns = Array.init 3 (fun _ -> connect sock) in
+  let round conns chip =
+    let replies = Array.make (Array.length conns) "" in
     let go = Atomic.make false in
     let threads =
       Array.mapi
@@ -1526,20 +1634,148 @@ let test_concurrent_identical () =
     Array.iter Thread.join threads;
     Array.to_list replies
   in
-  let cold = round () in
-  let warm = round () in
+  let pair = Array.sub conns 0 2 in
+  let cold = round pair chip in
+  let warm = round pair chip in
   let replies = cold @ warm in
+  let wirelist r = jstr (jget (jget (jparse r) "result") "wirelist") in
   check "concurrent: every reply ok"
     (List.for_all (fun r -> jbool (jget (jparse r) "ok")) replies);
   check "concurrent: the second round is warm" (List.for_all cached_flag warm);
   check "concurrent: every result = the --once result"
     (List.for_all (fun r -> result_fragment r = once) replies);
   check "concurrent: every wirelist = ace -j1's"
-    (List.for_all
-       (fun r -> jstr (jget (jget (jparse r) "result") "wirelist") = ace_wl)
-       replies);
+    (List.for_all (fun r -> wirelist r = ace_wl) replies);
+  let fresh = Lazy.force riscb_cif in
+  let fresh_wl = ace_j1_wirelist dir fresh in
+  let stores0 = cache_stores conns.(0) in
+  let base = compute_stats conns.(0) in
+  let three = round conns fresh in
+  check "concurrent: three identical misses store once"
+    (cache_stores conns.(0) = stores0 + 1);
+  check "concurrent: exactly one of the three replies is cold"
+    (List.length (List.filter (fun r -> not (cached_flag r)) three) = 1);
+  check "concurrent: the three wirelists = ace -j1's"
+    (List.for_all (fun r -> wirelist r = fresh_wl) three);
+  let now = compute_stats conns.(0) in
+  let offloaded = jnum (jget now "offloaded") - jnum (jget base "offloaded") in
+  check "concurrent: all three missed, two or more on the compute domain"
+    (misses now = misses base + 3 && offloaded >= 2);
   Array.iter close_conn conns;
   shutdown_daemon pid sock
+
+(* ------------------------------------------------------------------ *)
+(* 16b. Misses on the compute domain                                  *)
+
+(* A request whose deadline expires while it waits behind a running miss
+   gets its deadline-exceeded at once, not when the miss ahead ends, and
+   is never run: only the miss ahead stores.  A lone miss after it runs
+   inline, beside the idle domain. *)
+let test_compute_queued_deadline () =
+  let dir = scratch () in
+  let sock = Filename.concat dir "s.sock" in
+  let cache_dir = Filename.concat dir "cache" in
+  let pid = start_socket_daemon [ "--cache-dir"; cache_dir ] sock in
+  let conn = connect sock in
+  let stores0 = cache_stores conn in
+  let offloaded0 = compute_count conn "offloaded" in
+  let ahead = miss_ahead ~cache:true sock conn in
+  let behind = chain_cif 30 in
+  let t0 = Unix.gettimeofday () in
+  let reply = jparse (rpc conn (extract_req ~id:2 ~deadline_ms:100 behind)) in
+  let elapsed_ms = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.) in
+  (* queued for the domain behind the running miss, and still there: the
+     miss ahead has not finished *)
+  let queued = compute_stats conn in
+  let first = jparse (ahead ()) in
+  check "queued deadline: error code is deadline-exceeded"
+    ((not (jbool (jget reply "ok"))) && err_code reply = "deadline-exceeded");
+  Printf.printf "  queued deadline: answered in %d ms\n%!" elapsed_ms;
+  check "queued deadline: answered promptly" (elapsed_ms < 400);
+  check "queued deadline: answered while still queued behind the miss"
+    (jbool (jget queued "domain")
+    && jnum (jget queued "offloaded") > offloaded0
+    && jnum (jget queued "queued") = 1);
+  check "queued deadline: the miss ahead completed cold"
+    (jbool (jget first "ok") && not (jbool (jget first "cached")));
+  check "queued deadline: only the miss ahead stored"
+    (cache_stores conn = stores0 + 1);
+  (* the expired job has left the queue and ended *)
+  check "queued deadline: the expired job is gone"
+    (await conn (fun c -> compute_count c "queued" = 0));
+  let inline0 = compute_count conn "inline" in
+  let again = jparse (rpc conn (extract_req ~id:3 behind)) in
+  check "queued deadline: the expired request left no entry behind"
+    (jbool (jget again "ok") && not (jbool (jget again "cached")));
+  check "lone miss: runs inline beside the idle domain"
+    (compute_count conn "inline" = inline0 + 1 && domain_started conn);
+  close_conn conn;
+  shutdown_daemon pid sock
+
+(* A job that raises on the compute domain (a shard fault under -j 2)
+   becomes the internal-error an inline run gives, with the same
+   fingerprint, and the same domain serves the miss queued behind it. *)
+let test_compute_raise () =
+  let dir = scratch () in
+  let sock = Filename.concat dir "s.sock" in
+  let pid =
+    start_socket_daemon [ "--no-cache"; "-j"; "2"; "--fault"; "shard-raise" ]
+      sock
+  in
+  let conn = connect sock in
+  let raising = extract_req ~id:1 ~jobs:2 inverter_cif in
+  let fingerprint r = jstr (jget (jget r "error") "fingerprint") in
+  let inline = jparse (rpc conn raising) in
+  check "compute raise: the inline run is an internal-error"
+    (err_code inline = "internal-error");
+  let offloaded0 = compute_count conn "offloaded" in
+  let queued n = await conn (fun c -> compute_count c "offloaded" = n) in
+  let ahead = miss_ahead sock conn in
+  let raised = send_async sock raising in
+  check "compute raise: the raising job is queued" (queued (offloaded0 + 1));
+  let next =
+    send_async sock
+      (extract_req ~id:2 ~jobs:1 ~deadline_ms:20000 (chain_cif 12))
+  in
+  check "compute raise: the next job is queued behind it"
+    (queued (offloaded0 + 2));
+  ignore (ahead ());
+  let reply = jparse (raised ()) in
+  let next = jparse (next ()) in
+  check "compute raise: internal-error from the domain"
+    ((not (jbool (jget reply "ok"))) && err_code reply = "internal-error");
+  check_s "compute raise: the inline run's fingerprint" (fingerprint reply)
+    (fingerprint inline);
+  check "compute raise: the domain serves the next miss"
+    (jbool (jget next "ok") && domain_started conn);
+  close_conn conn;
+  shutdown_daemon pid sock
+
+(* shutdown while a job runs on the compute domain: the daemon still
+   exits 0. *)
+let test_compute_shutdown () =
+  let dir = scratch () in
+  let sock = Filename.concat dir "s.sock" in
+  let cache_dir = Filename.concat dir "cache" in
+  let pid = start_socket_daemon [ "--cache-dir"; cache_dir ] sock in
+  let conn = connect sock in
+  let offloaded0 = compute_count conn "offloaded" in
+  let ahead = miss_ahead sock conn in
+  let job = send_async sock (extract_req ~id:1 (Lazy.force riscb_cif)) in
+  check "shutdown during a job: queued behind the miss ahead"
+    (await conn (fun c -> compute_count c "offloaded" = offloaded0 + 1));
+  ignore (ahead ());
+  check "shutdown during a job: the job is running"
+    (await conn (fun c ->
+         let s = compute_stats c in
+         jnum (jget s "queued") = 0 && jbool (jget s "domain")));
+  let reply = jparse (rpc conn {|{"id":2,"op":"shutdown"}|}) in
+  check "shutdown during a job: shutdown acknowledged"
+    (jbool (jget reply "stopping"));
+  check "shutdown during a job: the daemon exits 0"
+    (exit_status pid = Some (Unix.WEXITED 0));
+  ignore (job ());
+  close_conn conn
 
 (* The replies to a corpus of malformed requests (unterminated strings
    at every alignment, bad and short \u escapes, raw control bytes,
@@ -1638,7 +1874,8 @@ let () =
   test_fnv_vectors ();
   test_hash64_vectors ();
   test_hash64_bit_flips ();
-  test_warm_beside_cold ();
+  test_warm_beside_cold ~domain:false ();
+  test_warm_beside_cold ~domain:true ();
   test_fault_specs ();
   test_oom_soft ();
   test_cache_gc_cli ();
@@ -1650,6 +1887,9 @@ let () =
   test_canonical_names ();
   test_v1_entry_replaced ();
   test_concurrent_identical ();
+  test_compute_queued_deadline ();
+  test_compute_raise ();
+  test_compute_shutdown ();
   test_malformed_corpus ();
   test_reader ();
   rm_rf scratch_base;

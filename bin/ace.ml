@@ -115,10 +115,10 @@ let jobs =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Extract over $(docv) worker domains.  Without $(b,--tile) the \
-           chip splits into $(docv) full-height vertical strips; tiles are \
-           scheduled by work-stealing and the per-tile wirelists are \
-           stitched across the seams.  The output is byte-identical to the \
-           default flat run ($(b,-j 1)).")
+           chip splits into $(docv) full-height vertical strips; each \
+           worker takes the next tile until none is left, and the \
+           per-tile wirelists are stitched across the seams.  The output \
+           is byte-identical to the default flat run ($(b,-j 1)).")
 
 let tile =
   Arg.(

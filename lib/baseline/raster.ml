@@ -280,12 +280,12 @@ let extract_raw ~grid boxes labels =
 
 let extract_boxes ?(grid = 125) ?(name = "chip") ?(labels = []) boxes =
   let raw, _ = extract_raw ~grid boxes labels in
-  Ace_core.Extractor.circuit_of_raw ~name ~include_partial:true raw
+  Ace_core.Extractor.circuit_of_raw ~name raw
 
 let extract_with_stats ?(grid = 125) ?(name = "chip") design =
   let boxes = Ace_cif.Flatten.flatten design in
   let labels = Ace_cif.Design.labels design in
   let raw, stats = extract_raw ~grid boxes labels in
-  (Ace_core.Extractor.circuit_of_raw ~name ~include_partial:true raw, stats)
+  (Ace_core.Extractor.circuit_of_raw ~name raw, stats)
 
 let extract ?grid ?name design = fst (extract_with_stats ?grid ?name design)

@@ -311,12 +311,12 @@ let extract_raw boxes labels =
 
 let extract_boxes ?(name = "chip") ?(labels = []) boxes =
   let raw, _ = extract_raw boxes labels in
-  Ace_core.Extractor.circuit_of_raw ~name ~include_partial:true raw
+  Ace_core.Extractor.circuit_of_raw ~name raw
 
 let extract_with_stats ?(name = "chip") design =
   let boxes = Ace_cif.Flatten.flatten design in
   let labels = Ace_cif.Design.labels design in
   let raw, stats = extract_raw boxes labels in
-  (Ace_core.Extractor.circuit_of_raw ~name ~include_partial:true raw, stats)
+  (Ace_core.Extractor.circuit_of_raw ~name raw, stats)
 
 let extract ?name design = fst (extract_with_stats ?name design)

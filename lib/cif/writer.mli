@@ -6,10 +6,6 @@
     the final [E].  [Parser.parse_string] of the output reconstructs the
     same AST (round-trip property, tested). *)
 
-val transform_op_to_string : Ast.transform_op -> string
-
-val element_to_buffer : Buffer.t -> Ast.element -> unit
-
 val to_string : Ast.file -> string
 
 val to_file : string -> Ast.file -> unit

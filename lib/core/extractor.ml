@@ -69,7 +69,25 @@ let resolve_device nets dense (data : Engine.device_data) =
     geometry = List.map (fun bx -> (Layer.Diffusion, bx)) data.channel_geometry;
   }
 
-let circuit_of_raw ~name ~include_partial (raw : Engine.raw) =
+(* The wirelist's net and device order (see the interface). *)
+let canonical_order (locations : Point.t array) order build =
+  Array.sort
+    (fun a b ->
+      let pa = locations.(a) and pb = locations.(b) in
+      let c = Int.compare pb.Point.y pa.Point.y in
+      if c <> 0 then c else Int.compare pa.Point.x pb.Point.x)
+    order;
+  let rank = Array.make (Array.length order) 0 in
+  Array.iteri (fun r c -> rank.(c) <- r) order;
+  let circuit = build rank in
+  Array.stable_sort
+    (fun (a : Circuit.device) b ->
+      let c = Int.compare a.location.Point.y b.location.Point.y in
+      if c <> 0 then c else Int.compare a.location.Point.x b.location.Point.x)
+    circuit.Circuit.devices;
+  circuit
+
+let circuit_of_raw ~name (raw : Engine.raw) =
   let nets = raw.nets in
   let dense = Union_find.compress nets in
   let class_count = Union_find.class_count nets in
@@ -96,16 +114,6 @@ let circuit_of_raw ~name ~include_partial (raw : Engine.raw) =
       let c = dense.(Union_find.find nets e) in
       geometry.(c) <- boxes @ geometry.(c))
     raw.net_geometry;
-  (* order nets by descending location y (the figures list top nets first) *)
-  let order = Array.init class_count (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let pa = locations.(a) and pb = locations.(b) in
-      let c = Int.compare pb.Point.y pa.Point.y in
-      if c <> 0 then c else Int.compare pa.Point.x pb.Point.x)
-    order;
-  let position = Array.make class_count 0 in
-  Array.iteri (fun rank c -> position.(c) <- rank) order;
   let coalesce boxes =
     List.concat_map
       (fun layer ->
@@ -117,35 +125,27 @@ let circuit_of_raw ~name ~include_partial (raw : Engine.raw) =
         List.map (fun b -> (layer, b)) (Poly.coalesce_columns mine))
       Layer.conducting_layers
   in
-  let nets_arr =
-    Array.map
-      (fun c ->
-        {
-          Circuit.names = List.sort_uniq String.compare names.(c);
-          location = locations.(c);
-          geometry = (match geometry.(c) with [] -> [] | g -> coalesce g);
-        })
-      order
-  in
-  (* dense-with-ordering mapping for terminals *)
-  let dense_ordered =
-    Array.init (Union_find.count nets) (fun e -> position.(dense.(e)))
-  in
-  let devices =
-    Array.of_list
-      (List.filter_map
-         (fun (_, (d : Engine.device_data)) ->
-           if include_partial || not d.touches_boundary then
-             Some (resolve_device nets dense_ordered d)
-           else None)
-         raw.devices)
-  in
-  Array.stable_sort
-    (fun (a : Circuit.device) b ->
-      let c = Int.compare a.location.Point.y b.location.Point.y in
-      if c <> 0 then c else Int.compare a.location.Point.x b.location.Point.x)
-    devices;
-  { Circuit.name; devices; nets = nets_arr }
+  let order = Array.init class_count Fun.id in
+  canonical_order locations order (fun rank ->
+      let nets_arr =
+        Array.map
+          (fun c ->
+            {
+              Circuit.names = List.sort_uniq String.compare names.(c);
+              location = locations.(c);
+              geometry = (match geometry.(c) with [] -> [] | g -> coalesce g);
+            })
+          order
+      in
+      (* each element's net rank, for the terminals *)
+      let ranked =
+        Array.init (Union_find.count nets) (fun e -> rank.(dense.(e)))
+      in
+      let devices =
+        Array.of_list
+          (List.map (fun (_, d) -> resolve_device nets ranked d) raw.devices)
+      in
+      { Circuit.name; devices; nets = nets_arr })
 
 let extract_with_stats ?(cancel = Cancel.never) ?(emit_geometry = false)
     ?(name = "chip") design =
@@ -158,7 +158,7 @@ let extract_with_stats ?(cancel = Cancel.never) ?(emit_geometry = false)
   (* read now: the stream's heap and pools are garbage while
      [circuit_of_raw] allocates *)
   let boxes = Ace_cif.Stream.boxes_popped stream in
-  let circuit = circuit_of_raw ~name ~include_partial:true raw in
+  let circuit = circuit_of_raw ~name raw in
   ( circuit,
     {
       boxes;
@@ -177,7 +177,7 @@ let extract ?cancel ?emit_geometry ?name design =
 let extract_boxes ?(emit_geometry = false) ?(name = "chip") ?(labels = []) boxes =
   let source = Engine.source_of_boxes boxes in
   let raw = Engine.run { Engine.emit_geometry; window = None } source ~labels in
-  circuit_of_raw ~name ~include_partial:true raw
+  circuit_of_raw ~name raw
 
 let extract_cif_string ?emit_geometry ?name text =
   let ast = Ace_cif.Parser.parse_string text in

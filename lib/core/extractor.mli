@@ -49,11 +49,27 @@ val extract_boxes :
   (Layer.t * Box.t) list ->
   Circuit.t
 
-(** Resolve an {!Engine.raw} result into a circuit.  Exposed for HEXT.
-    [include_partial] keeps boundary-touching channels as devices (flat
-    extraction wants [true]; HEXT separates them). *)
-val circuit_of_raw :
-  name:string -> include_partial:bool -> Engine.raw -> Circuit.t
+(** Resolve an {!Engine.raw} result into a circuit, every channel a
+    device, in {!canonical_order}.  Exposed for the baseline extractors. *)
+val circuit_of_raw : name:string -> Engine.raw -> Circuit.t
+
+(** The wirelist's net and device order, taken from here by the flat and
+    the tiled extractor ({!Parallel}) alike, so their outputs agree byte
+    for byte.  [order] lists the net classes in dense order (numbered by
+    first creation), and class [c] is located at [locations.(c)].
+    [canonical_order locations order build] sorts [order] in place, y
+    descending then x ascending, with [Array.sort].  That is a heap sort,
+    which is not stable: where two locations tie, the outcome depends on
+    the order the sort starts from, so only the dense order gives the
+    flat numbering.  [build rank] then builds the circuit, its nets in
+    the sorted [order] and class [c] numbered [rank.(c)]; its devices
+    are sorted in place, stably, by location, y then x ascending, and
+    the circuit is returned. *)
+val canonical_order :
+  Point.t array ->
+  int array ->
+  (int array -> Circuit.t) ->
+  Circuit.t
 
 (** Parse, check and extract a CIF string in one step. *)
 val extract_cif_string : ?emit_geometry:bool -> ?name:string -> string -> Circuit.t

@@ -195,9 +195,8 @@ type tile_result = {
    fragment — all inside the worker domain. *)
 let run_shard ~cancel ~on_shard ~top design window labels idx =
   (* Each tile gets its own trace track whether it runs on a spawned
-     domain or, as one of worker 0's tiles, on the calling one; the
-     track's counters start at zero, so the snapshot at the end is the
-     tile's own contribution. *)
+     domain or on the calling one; the track's counters start at zero,
+     so the snapshot at the end is the tile's own contribution. *)
   Trace.with_track ~tid:(idx + 1) ~name:(Printf.sprintf "shard %d" idx)
   @@ fun () ->
   on_shard idx;
@@ -264,160 +263,41 @@ let stats_of_flat (st : Extractor.stats) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Work-stealing scheduler                                             *)
+(* Scheduler                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A Chase–Lev work-stealing deque over a fixed ring of tile indices.
-   The owner pushes and pops at [bottom]; thieves race on [top] with a
-   CAS.  OCaml's Atomic operations are sequentially consistent, which is
-   stronger than the fences the original algorithm needs.  The ring
-   capacity exceeds the total tile count, so a push can never land on a
-   slot a thief is still reading (at most [tcount] indices are
-   outstanding across all deques at any moment). *)
-module Deque = struct
-  type t = { ring : int array; top : int Atomic.t; bottom : int Atomic.t }
-
-  let create cap =
-    { ring = Array.make (max 1 cap) 0; top = Atomic.make 0; bottom = Atomic.make 0 }
-
-  let slot d i = i mod Array.length d.ring
-
-  (* owner only *)
-  let push d v =
-    let b = Atomic.get d.bottom in
-    d.ring.(slot d b) <- v;
-    Atomic.set d.bottom (b + 1)
-
-  (* owner only *)
-  let pop d =
-    let b = Atomic.get d.bottom - 1 in
-    Atomic.set d.bottom b;
-    let t = Atomic.get d.top in
-    if b < t then begin
-      (* empty; restore *)
-      Atomic.set d.bottom t;
-      None
-    end
-    else if b > t then Some d.ring.(slot d b)
-    else begin
-      (* last element: race the thieves for it *)
-      let v = d.ring.(slot d b) in
-      let won = Atomic.compare_and_set d.top t (t + 1) in
-      Atomic.set d.bottom (t + 1);
-      if won then Some v else None
-    end
-
-  let size d = Atomic.get d.bottom - Atomic.get d.top
-
-  (* any thief *)
-  let steal d =
-    let t = Atomic.get d.top in
-    let b = Atomic.get d.bottom in
-    if t >= b then None
-    else
-      let v = d.ring.(slot d t) in
-      if Atomic.compare_and_set d.top t (t + 1) then Some v else None
-end
-
-(* Run [work t] for every tile index once, over [nworkers] domains.
-   Worker k starts with a contiguous block of tiles in its own deque;
-   when it runs dry it steals half of the first non-empty victim's
-   visible tiles.  Results land in [results] slot-per-tile, so the steal
-   schedule can never affect anything downstream.  Every domain is
-   joined before any failure propagates (a leaked domain wedges the
-   runtime at exit); the lowest-indexed tile's exception wins, with its
-   original backtrace. *)
-let run_tiles ~cancel ~nworkers ~tcount work =
+(* Run [work t] once for every tile index over [nworkers] domains, the
+   calling domain among them: each worker takes the next index from one
+   shared cursor until the tiles run out.  Results land in one slot per
+   tile, so which domain ran a tile never shows downstream.  A raising
+   tile moves the cursor to the end, so no worker starts another tile.
+   Every domain is joined before any failure propagates (a leaked
+   domain wedges the runtime at exit); the lowest-indexed tile's
+   exception wins, with its original backtrace.  Cancellation needs no
+   check here: each tile checks its token at its start and the engine
+   at every scanline stop. *)
+let run_tiles ~nworkers ~tcount work =
   let results = Array.make tcount None in
-  let steals = Array.make nworkers 0 in
-  let tile_err = Array.make tcount None in
-  let worker_err = Array.make nworkers None in
-  let deques = Array.init nworkers (fun _ -> Deque.create (tcount + 1)) in
-  for k = 0 to nworkers - 1 do
-    let lo = k * tcount / nworkers and hi = (k + 1) * tcount / nworkers in
-    (* pushed high to low so the owner pops its lowest tile first *)
-    for t = hi - 1 downto lo do
-      Deque.push deques.(k) t
-    done
-  done;
-  let remaining = Atomic.make tcount in
-  let abort = Atomic.make false in
-  let exception Tile_failed in
-  let do_tile t =
-    match work t with
-    | r ->
-        results.(t) <- Some r;
-        ignore (Atomic.fetch_and_add remaining (-1))
-    | exception e ->
-        tile_err.(t) <- Some (e, Printexc.get_raw_backtrace ());
-        Atomic.set abort true;
-        raise Tile_failed
+  let errors = Array.make tcount None in
+  let cursor = Atomic.make 0 in
+  let rec worker () =
+    let t = Atomic.fetch_and_add cursor 1 in
+    if t < tcount then begin
+      (match work t with
+      | r -> results.(t) <- Some r
+      | exception e ->
+          errors.(t) <- Some (e, Printexc.get_raw_backtrace ());
+          Atomic.set cursor tcount);
+      worker ()
+    end
   in
-  let try_steal k =
-    let got = ref 0 and off = ref 1 in
-    while !got = 0 && !off < nworkers do
-      let victim = deques.((k + !off) mod nworkers) in
-      let visible = Deque.size victim in
-      if visible > 0 then begin
-        (* half of what was visible; losing a CAS race just means the
-           tile went to someone else, which costs nothing *)
-        (try
-           for _ = 1 to (visible + 1) / 2 do
-             match Deque.steal victim with
-             | Some t ->
-                 incr got;
-                 Deque.push deques.(k) t
-             | None -> raise Exit
-           done
-         with Exit -> ())
-      end;
-      incr off
-    done;
-    steals.(k) <- steals.(k) + !got;
-    !got > 0
-  in
-  let worker k =
-    try
-      let rec go () =
-        if not (Atomic.get abort) then
-          match Deque.pop deques.(k) with
-          | Some t ->
-              do_tile t;
-              go ()
-          | None -> hunt ()
-      and hunt () =
-        if Atomic.get remaining > 0 && not (Atomic.get abort) then begin
-          Cancel.check cancel;
-          if try_steal k then go ()
-          else begin
-            Domain.cpu_relax ();
-            hunt ()
-          end
-        end
-      in
-      go ()
-    with
-    | Tile_failed -> ()
-    | e ->
-        (* a raise outside any tile (e.g. a deadline trip in the steal
-           loop): remember it per worker, lowest worker index wins if no
-           tile recorded anything more precise *)
-        worker_err.(k) <- Some (e, Printexc.get_raw_backtrace ());
-        Atomic.set abort true
-  in
-  let doms =
-    Array.init (nworkers - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
-  in
-  (* the calling domain is the pool's first worker *)
-  worker 0;
+  let doms = Array.init (nworkers - 1) (fun _ -> Domain.spawn worker) in
+  worker ();
   Array.iter Domain.join doms;
-  let reraise = function
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-  in
-  Array.iter reraise tile_err;
-  Array.iter reraise worker_err;
-  (Array.map Option.get results, Array.fold_left ( + ) 0 steals)
+  Array.iter
+    (Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt))
+    errors;
+  Array.map Option.get results
 
 (* ------------------------------------------------------------------ *)
 (* Canonical renumbering                                               *)
@@ -425,22 +305,17 @@ let run_tiles ~cancel ~nworkers ~tcount work =
 
 (* Rebuild the flattened circuit in the flat extractor's canonical
    shape, so a tiled extraction is byte-identical to the flat one for
-   any grid, worker count and steal schedule.
+   any grid and worker count.
 
-   {!Extractor.circuit_of_raw} orders nets by sorting the dense class
-   array (classes in first-creation order) with (location y descending,
-   x ascending), where a class's location is its earliest element's
-   creation point.  Both ingredients are reconstructible here.  Each
-   leaf lists its nets in creation-key order ({!leaf_net_keys}), so
-   merging the leaves' lists by key meets every chip net first at its
-   earliest key, and the order of first meetings is the flat dense
-   order.  [Array.sort] is a heap sort, which is not stable: where two
-   locations tie, the result depends on the order the sort starts from.
-   So the very same sort runs from the very same dense order, with a
-   comparator that gives the very same outcomes, and yields the very
-   same permutation, ties included.  Devices are re-sorted with the flat
-   comparator (location y then x, ascending), whose stable sort has one
-   result. *)
+   {!Extractor.canonical_order} numbers the nets from their dense order
+   (classes in first-creation order) and their locations, a class's
+   location being its earliest element's creation point.  Both are
+   reconstructible here.  Each leaf lists its nets in creation-key
+   order ({!leaf_net_keys}), so merging the leaves' lists by key meets
+   every chip net first at its earliest key, and the order of first
+   meetings is the flat dense order.  Given the same starting order and
+   locations, the one order function numbers nets and devices as it
+   does for the flat extractor, location ties included. *)
 let canonicalize ~name ~(bb : Box.t) (circuit : Circuit.t) activations
     (tile_keys : keys array) =
   let class_count = Array.length circuit.Circuit.nets in
@@ -493,43 +368,32 @@ let canonicalize ~name ~(bb : Box.t) (circuit : Circuit.t) activations
   for g = 0 to class_count - 1 do
     place g
   done;
-  (* ... then the flat extractor's own net sort, verbatim *)
-  Array.sort
-    (fun a b ->
-      let c = Int.compare ky.(b) ky.(a) in
-      if c <> 0 then c else Int.compare kx.(a) kx.(b))
-    order;
-  let position = Array.make class_count 0 in
-  Array.iteri (fun rank c -> position.(c) <- rank) order;
-  let nets =
-    Array.map
-      (fun c ->
-        {
-          Circuit.names = circuit.Circuit.nets.(c).Circuit.names;
-          location = Point.make kx.(c) ky.(c);
-          geometry = [];
-        })
-      order
-  in
   let shift = Point.make bb.Box.l bb.Box.b in
-  let devices =
-    Array.map
-      (fun (d : Circuit.device) ->
-        {
-          d with
-          Circuit.gate = position.(d.gate);
-          source = position.(d.source);
-          drain = position.(d.drain);
-          location = Point.add d.location shift;
-        })
-      circuit.Circuit.devices
-  in
-  Array.stable_sort
-    (fun (a : Circuit.device) b ->
-      let c = Int.compare a.location.Point.y b.location.Point.y in
-      if c <> 0 then c else Int.compare a.location.Point.x b.location.Point.x)
-    devices;
-  { Circuit.name; devices; nets }
+  let locations = Array.init class_count (fun c -> Point.make kx.(c) ky.(c)) in
+  Extractor.canonical_order locations order (fun rank ->
+      let nets =
+        Array.map
+          (fun c ->
+            {
+              Circuit.names = circuit.Circuit.nets.(c).Circuit.names;
+              location = locations.(c);
+              geometry = [];
+            })
+          order
+      in
+      let devices =
+        Array.map
+          (fun (d : Circuit.device) ->
+            {
+              d with
+              Circuit.gate = rank.(d.gate);
+              source = rank.(d.source);
+              drain = rank.(d.drain);
+              location = Point.add d.location shift;
+            })
+          circuit.Circuit.devices
+      in
+      { Circuit.name; devices; nets })
 
 (* ------------------------------------------------------------------ *)
 (* Extraction                                                          *)
@@ -573,9 +437,8 @@ let extract_with_stats ?(cancel = Cancel.never) ?(on_shard = fun _ -> ())
           run_shard ~cancel ~on_shard ~top design tiles.(t) buckets.(t) t
         in
         let nworkers = max 1 (min jobs tcount) in
-        let results, steals = run_tiles ~cancel ~nworkers ~tcount work in
+        let results = run_tiles ~nworkers ~tcount work in
         Trace.count Trace.Counter.Tiles_extracted tcount;
-        if steals > 0 then Trace.count Trace.Counter.Tile_steals steals;
         let stitch_seconds = ref 0.0 in
         (* the stitch's stages, from monotonic clock readings between
            them: compose (and finalize), flatten (and resize), order *)

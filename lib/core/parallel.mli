@@ -8,20 +8,19 @@ open Ace_netlist
     over its own lazy front-end stream clipped to the tile
     ({!Engine.source_clipped}) — so no domain ever materializes the
     chip, and peak memory per domain stays proportional to its tile's
-    scanline population.  Tiles are scheduled over [jobs] worker domains
-    by per-domain Chase–Lev work-stealing deques: each worker starts
-    with a contiguous block of tiles and an idle worker steals half of a
-    victim's visible tiles.  The per-tile results become HEXT fragments
-    ({!Fragment.leaf_of_raw}) and are stitched with {!Fragment.compose}
-    — exactly the seam logic the hierarchical extractor uses — along
-    both axes: each column composes bottom-to-top, then the columns
-    compose left-to-right.  A final canonicalization pass rebuilds the
-    flat extractor's net numbering from the engine's intrinsic creation
-    keys ({!Engine.raw.net_x} / [net_y] / [net_phase]) and re-sorts
-    devices with the flat comparator, so the output is {e
-    byte-identical} to {!Extractor.extract} for every grid, worker
-    count, and steal schedule (see DESIGN.md, "Work-stealing
-    determinism").
+    scanline population.  Tiles are shared out over [jobs] worker
+    domains through one atomic cursor: each worker takes the next tile
+    index until none is left.  The per-tile results become HEXT
+    fragments ({!Fragment.leaf_of_raw}) and are stitched with
+    {!Fragment.compose} — exactly the seam logic the hierarchical
+    extractor uses — along both axes: each column composes
+    bottom-to-top, then the columns compose left-to-right.  A final
+    canonicalization pass rebuilds the flat extractor's dense net order
+    from the engine's intrinsic creation keys ({!Engine.raw.net_x} /
+    [net_y] / [net_phase]) and numbers nets and devices with
+    {!Extractor.canonical_order}, as the flat extractor does, so the
+    output is {e byte-identical} to {!Extractor.extract} for every grid
+    and worker count (see DESIGN.md, "Byte-identical tiling").
 
     With no geometry or a grid that degenerates to a single tile, this
     falls back to {!Extractor.extract_with_stats} — a [-j 1] run without
@@ -83,14 +82,15 @@ val tile_of_string : string -> (int * int, string) result
     [tile] gives the grid explicitly as [(cols, rows)]; default is
     [(jobs, 1)] — classic vertical strips.  A multi-tile grid engages
     the tiled path even at [jobs = 1], where every tile runs in order on
-    the calling domain with no steals: the same tile and stitch code,
-    and the same output, without spawning a domain.
+    the calling domain: the same tile and stitch code, and the same
+    output, without spawning a domain.
 
-    [cancel] is threaded into every tile's engine run and checked in the
-    scheduler's steal loop; a deadline trip raises {!Cancel.Cancelled}
-    out of this call.  [on_shard] is invoked with the tile index at the
-    start of each tile's work, on whichever domain runs it (fault
-    injection and tests hook it; default no-op).
+    [cancel] is checked at the start of every tile and threaded into
+    every tile's engine run, which checks it at each scanline stop; a
+    deadline trip raises {!Cancel.Cancelled} out of this call, and no
+    worker starts another tile after it.  [on_shard] is invoked with the
+    tile index at the start of each tile's work, on whichever domain
+    runs it (fault injection and tests hook it; default no-op).
 
     If any tile's work raises — including [on_shard], and including on a
     spawned domain — every sibling domain is still joined before the

@@ -19,9 +19,6 @@ let hint ?span ~code message = make ?span Hint ~code message
 let errorf ?span ~code fmt =
   Format.kasprintf (fun message -> error ?span ~code message) fmt
 
-let warningf ?span ~code fmt =
-  Format.kasprintf (fun message -> warning ?span ~code message) fmt
-
 let severity_to_string = function
   | Error -> "error"
   | Warning -> "warning"

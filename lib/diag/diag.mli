@@ -28,13 +28,7 @@ val hint : ?span:span -> code:string -> string -> t
 val errorf :
   ?span:span -> code:string -> ('a, Format.formatter, unit, t) format4 -> 'a
 
-val warningf :
-  ?span:span -> code:string -> ('a, Format.formatter, unit, t) format4 -> 'a
-
 val severity_to_string : severity -> string
-
-(** Severity ordering: [Error > Warning > Hint]. *)
-val compare_severity : severity -> severity -> int
 
 val is_error : t -> bool
 

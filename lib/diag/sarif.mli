@@ -25,9 +25,6 @@ type result = {
   fingerprint : string option;
 }
 
-(** Error → "error", Warning → "warning", Hint → "note". *)
-val level_of_severity : Diag.severity -> string
-
 (** Build a result from a diagnostic: line/column resolved from the span
     against [source] when both are available (else 1:1). *)
 val of_diag :

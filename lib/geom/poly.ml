@@ -16,6 +16,7 @@ let is_manhattan poly =
     (fun ((a : Point.t), (b : Point.t)) -> a.x = b.x || a.y = b.y)
     (edges poly)
 
+(* Twice the signed area (shoelace); the sign tells orientation. *)
 let double_area poly =
   List.fold_left
     (fun acc ((a : Point.t), (b : Point.t)) -> acc + ((a.x * b.y) - (b.x * a.y)))

@@ -16,12 +16,6 @@
 (** A polygon given by its vertices in order (closed implicitly). *)
 type polygon = Point.t list
 
-(** [is_manhattan poly] holds when every edge is axis-parallel. *)
-val is_manhattan : polygon -> bool
-
-(** Twice the signed area (shoelace); sign tells orientation. *)
-val double_area : polygon -> int
-
 (** [boxes_of_polygon ~quantum poly] decomposes a simple polygon.  [quantum]
     bounds the strip height used for sloped regions (e.g. λ/2); it is ignored
     for manhattan polygons.  Degenerate polygons (fewer than 3 distinct

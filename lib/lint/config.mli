@@ -20,8 +20,6 @@ type t = {
     pass-depth limit 3. *)
 val default : t
 
-val setting_of_string : string -> (setting, string) result
-
 (** Apply one [key=value] binding (e.g. ["ratio=off"], ["lambda=200"]). *)
 val parse_binding : t -> string -> (t, string) result
 

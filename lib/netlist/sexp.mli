@@ -10,6 +10,4 @@ exception Parse_error of string
 
 val parse_string : string -> t list
 
-val to_buffer : Buffer.t -> t -> unit
-
 val to_string : t -> string

@@ -151,7 +151,9 @@ module Counter = struct
     | Lvs_cell_matches -> "distinct LVS cell summaries compared"
     | Lvs_cell_hits -> "LVS cell instances served from the summary memo"
     | Tiles_extracted -> "tiles extracted by the sharded scheduler"
-    | Tile_steals -> "tiles obtained by work stealing from another domain"
+    | Tile_steals ->
+        "always 0: tiles come from one shared cursor, none is stolen (kept \
+         for bench/e2e, which reads it by name)"
     | Seam_merges_h -> "fragment compositions across vertical seams (left|right)"
     | Seam_merges_v -> "fragment compositions across horizontal seams (bottom|top)"
 end

@@ -30,7 +30,9 @@ module Counter : sig
     | Lvs_cell_matches  (** distinct LVS cell summaries compared *)
     | Lvs_cell_hits  (** LVS cell instances served from the summary memo *)
     | Tiles_extracted  (** tiles extracted by the sharded scheduler *)
-    | Tile_steals  (** tiles obtained by work stealing from another domain *)
+    | Tile_steals
+        (** always 0: nothing increments it since tiles come from one
+            shared cursor; kept because [bench/e2e] reads it by name *)
     | Seam_merges_h  (** fragment compositions across vertical seams *)
     | Seam_merges_v  (** fragment compositions across horizontal seams *)
 

@@ -47,9 +47,8 @@ let symbol t ?name elements =
 
 let translate t ~dx ~dy = Ace_cif.Ast.Translate (dx * t.lam, dy * t.lam)
 
-let call_ops _t id ops = Ace_cif.Ast.Call { symbol = id; ops }
-
-let call t id ~dx ~dy = call_ops t id [ translate t ~dx ~dy ]
+let call t id ~dx ~dy =
+  Ace_cif.Ast.Call { symbol = id; ops = [ translate t ~dx ~dy ] }
 
 let file t top_level =
   { Ace_cif.Ast.symbols = List.rev t.symbols; top_level }

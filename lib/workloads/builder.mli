@@ -25,10 +25,7 @@ val symbol : t -> ?name:string -> Ace_cif.Ast.element list -> int
 (** [call b id ~dx ~dy] — instantiate at a λ-unit offset. *)
 val call : t -> int -> dx:int -> dy:int -> Ace_cif.Ast.element
 
-(** Like {!call} with an arbitrary op list (offsets in λ). *)
-val call_ops : t -> int -> Ace_cif.Ast.transform_op list -> Ace_cif.Ast.element
-
-(** Translate op in λ units, for use with {!call_ops}. *)
+(** Translate op in λ units. *)
 val translate : t -> dx:int -> dy:int -> Ace_cif.Ast.transform_op
 
 (** Finish: a file with the given top-level elements and all defined

@@ -294,8 +294,8 @@ let hier_agrees input design =
    one on anything the flat one can extract.  The grid and worker count
    are seeded from the input bytes, so the corpus as a whole sweeps
    ragged multi-row grids while each individual input stays
-   reproducible.  The steal schedule is whatever the machine does that
-   run — the property asserts it cannot matter. *)
+   reproducible.  Which domain runs which tile is whatever the machine
+   does that run — the property asserts it cannot matter. *)
 let tiled_agrees input design flat_wl =
   let h = Hashtbl.hash input in
   let cols = 1 + (h mod 4)

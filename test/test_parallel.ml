@@ -344,8 +344,8 @@ let test_deterministic_and_one_worker () =
 
 (* The canonicalization pass makes tiled output *byte-identical* to the
    flat extractor — not just electrically equivalent — for any grid and
-   any worker count (and therefore any steal schedule: workers only
-   decide who computes a tile, never what lands in its result slot). *)
+   any worker count (workers only decide who computes a tile, never what
+   lands in its result slot). *)
 let test_tiled_byte_identity () =
   List.iter
     (fun file ->
@@ -475,6 +475,32 @@ let test_shard_raise_joins () =
   (* the process is left consistent: a fresh parallel run still matches *)
   check "extraction works after a raising shard" true
     (equiv reference (Parallel.extract ~jobs:4 design))
+
+(* The scheduler hands out every tile exactly once, whatever the grid
+   and the worker count: [on_shard] runs at the start of each tile's
+   work (once for a one-tile grid's flat fallback), and each call is
+   counted against its tile index. *)
+let test_each_tile_once () =
+  let design = data_design "mesh4x4.cif" in
+  let bb = Option.get (Ace_cif.Design.bbox design) in
+  for cols = 1 to 8 do
+    for rows = 1 to 3 do
+      let grid = Parallel.tile_windows ~cols ~rows bb in
+      let tiles = Array.length grid * Array.length grid.(0) in
+      for jobs = 1 to 4 do
+        let runs = Array.init tiles (fun _ -> Atomic.make 0) in
+        ignore
+          (Parallel.extract ~jobs ~tile:(cols, rows)
+             ~on_shard:(fun t -> Atomic.incr runs.(t))
+             design);
+        check
+          (Printf.sprintf "%dx%d -j%d: each of %d tiles ran once" cols rows
+             jobs tiles)
+          true
+          (Array.for_all (fun n -> Atomic.get n = 1) runs)
+      done
+    done
+  done
 
 (* Regression layouts for sizing across seams: a transistor completed
    inside one part (a tile, or a compose of tiles) whose source
@@ -620,6 +646,7 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "raising shard joins" `Quick
             test_shard_raise_joins;
+          Alcotest.test_case "each tile runs once" `Quick test_each_tile_once;
           prop_random_designs;
           Alcotest.test_case "seam-merged sizing" `Quick test_seam_merge;
           Alcotest.test_case "tiled allocation" `Quick test_tiled_allocation;

@@ -103,6 +103,44 @@ let rec rm_rf path =
       (try Unix.rmdir path with Unix.Unix_error _ -> ())
   | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
 
+(* ------------------------------------------------------------------ *)
+(* Child processes                                                    *)
+
+(* Every child the harness has started and not yet reaped.  Children
+   are started and reaped on the main thread only. *)
+let children = ref []
+
+let spawn prog args ~stdin ~stdout =
+  let pid =
+    Unix.create_process prog (Array.of_list (prog :: args)) stdin stdout
+      Unix.stderr
+  in
+  children := pid :: !children;
+  pid
+
+let forget pid = children := List.filter (( <> ) pid) !children
+
+(* However the harness ends (a failed check, an uncaught exception, a
+   normal end or SIGINT/SIGTERM), no daemon it started outlives it and
+   its scratch directory goes.  A write to a connection the daemon
+   closed must fail with EPIPE, not kill the harness, so SIGPIPE is
+   caught and dropped: a caught signal, unlike an ignored one, is reset
+   to its default in the children the harness execs, so the daemons
+   under test run as a user would run them. *)
+let () =
+  Sys.set_signal Sys.sigpipe (Sys.Signal_handle ignore);
+  List.iter
+    (fun signal -> Sys.set_signal signal (Sys.Signal_handle (fun _ -> exit 2)))
+    [ Sys.sigint; Sys.sigterm ];
+  at_exit (fun () ->
+      List.iter
+        (fun pid ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        !children;
+      children := [];
+      rm_rf scratch_base)
+
 let write_file path s =
   let oc = open_out_bin path in
   output_string oc s;
@@ -151,11 +189,7 @@ let devnull () = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0
 
 let start_daemon args =
   let null = devnull () in
-  let pid =
-    Unix.create_process aced_exe
-      (Array.of_list (aced_exe :: args))
-      null Unix.stdout Unix.stderr
-  in
+  let pid = spawn aced_exe args ~stdin:null ~stdout:Unix.stdout in
   Unix.close null;
   pid
 
@@ -207,13 +241,16 @@ let exit_status ?(timeout = 20.0) pid =
         if Unix.gettimeofday () > deadline then begin
           Unix.kill pid Sys.sigkill;
           ignore (Unix.waitpid [] pid);
+          forget pid;
           None
         end
         else begin
           Unix.sleepf 0.02;
           go ()
         end
-    | _, status -> Some status
+    | _, status ->
+        forget pid;
+        Some status
   in
   go ()
 
@@ -236,13 +273,7 @@ let run_once ?(args = []) lines =
      stdio), or it never sees EOF on its stdin *)
   let r_in, w_in = Unix.pipe ~cloexec:true () in
   let r_out, w_out = Unix.pipe ~cloexec:true () in
-  let null = devnull () in
-  let pid =
-    Unix.create_process aced_exe
-      (Array.of_list ((aced_exe :: "--once" :: args)))
-      r_in w_out Unix.stderr
-  in
-  Unix.close null;
+  let pid = spawn aced_exe ("--once" :: args) ~stdin:r_in ~stdout:w_out in
   Unix.close r_in;
   Unix.close w_out;
   let oc = Unix.out_channel_of_descr w_in in
@@ -743,9 +774,9 @@ let test_deadline () =
       [ 30; 60; 120 ]
   in
   check "deadline: a 5ms deadline trips on a big chip" tripped;
-  (* the tiled path polls the same token in every tile scan and in the
-     scheduler's steal loop: a short deadline on a tiled request trips
-     just as promptly *)
+  (* the tiled path checks the same token at every tile's start and in
+     every tile's scan: a short deadline on a tiled request trips just as
+     promptly *)
   let tiled_tripped =
     List.exists
       (fun side ->
@@ -859,7 +890,7 @@ let test_kill_restart () =
   close_conn conn1;
   (* no clean shutdown: the daemon dies hard *)
   Unix.kill pid1 Sys.sigkill;
-  ignore (Unix.waitpid [] pid1);
+  reap pid1;
   (* a writer killed mid-store leaves a temp file; plant one *)
   write_file
     (Filename.concat cache_dir ".tmp.deadbeefdeadbeef.1")
@@ -1260,9 +1291,8 @@ let test_cache_gc_cli () =
   let r_out, w_out = Unix.pipe ~cloexec:true () in
   let null = devnull () in
   let pid =
-    Unix.create_process aced_exe
-      [| aced_exe; "cache"; "gc"; "--cache-dir"; dir |]
-      null w_out Unix.stderr
+    spawn aced_exe [ "cache"; "gc"; "--cache-dir"; dir ] ~stdin:null
+      ~stdout:w_out
   in
   Unix.close null;
   Unix.close w_out;
@@ -1585,13 +1615,12 @@ let ace_j1_wirelist dir cif =
   write_file cif_path cif;
   let null = devnull () in
   let pid =
-    Unix.create_process ace_exe
-      [| ace_exe; "-j1"; "--name"; "chip"; cif_path; "-o"; wl_path |]
-      null Unix.stdout Unix.stderr
+    spawn ace_exe
+      [ "-j1"; "--name"; "chip"; cif_path; "-o"; wl_path ]
+      ~stdin:null ~stdout:Unix.stdout
   in
   Unix.close null;
-  let _, status = Unix.waitpid [] pid in
-  check "concurrent: ace -j1 exits 0" (status = Unix.WEXITED 0);
+  check "concurrent: ace -j1 exits 0" (exit_status pid = Some (Unix.WEXITED 0));
   In_channel.with_open_bin wl_path In_channel.input_all
 
 (* Two connections send one extract request at the same moment, cold and
@@ -1892,7 +1921,6 @@ let () =
   test_compute_shutdown ();
   test_malformed_corpus ();
   test_reader ();
-  rm_rf scratch_base;
   if !failures > 0 then begin
     Printf.printf "test_serve: %d FAILED\n%!" !failures;
     exit 1

@@ -6,8 +6,7 @@
    real) so the output is byte-stable and can be diffed against a
    committed golden.  The strips run with one worker, in order on the
    calling domain: the tile/stitch code and every per-tile counter are
-   identical to a -j 4 run, but the steal count (which depends on domain
-   start-up timing) is deterministically zero.
+   identical to a -j 4 run, without spawning a domain.
 
    `--validate FILE.json` mode: structurally validate an exported trace
    (valid JSON, traceEvents present, per-track monotone timestamps,

@@ -4,26 +4,25 @@
 
 module Lint = Ace_lint
 
-(* Returns the circuit (None = unrecoverable), the CIF design when the
-   input was a layout (needed for --hier), plus front-end diagnostics. *)
+(* Returns the circuit (None = unrecoverable), the input text and the
+   front-end diagnostics. *)
 let load ~strict ~max_errors ~jobs ~tile path =
   match Cli_common.read_input path with
-  | Error d -> (None, None, "", [ d ])
+  | Error d -> (None, "", [ d ])
   | Ok text ->
       let from_cif () =
         match Cli_common.load_text ~strict ~max_errors text with
-        | None, diags -> (None, None, text, diags)
+        | None, diags -> (None, text, diags)
         | Some design, diags ->
             let name = Filename.basename path in
             ( Some (Ace_core.Parallel.extract ~jobs ?tile ~name design),
-              Some design,
               text,
               diags )
       in
       if Filename.check_suffix path ".cif" then from_cif ()
       else (
         match Ace_netlist.Wirelist.of_string text with
-        | c -> (Some c, None, text, [])
+        | c -> (Some c, text, [])
         | exception Ace_netlist.Wirelist.Error _ ->
             (* fall back to CIF for suffix-less files *)
             from_cif ())
@@ -73,7 +72,7 @@ let sarif_rules () =
       })
     Lint.Rules.all
 
-let run input vdd gnd verbose timing flow hier stats strict max_errors
+let run input vdd gnd verbose timing flow stats strict max_errors
     diag_format rules_file rule_overrides baseline_file write_baseline
     list_rules jobs tile trace =
   Cli_common.setup_trace trace;
@@ -91,32 +90,21 @@ let run input vdd gnd verbose timing flow hier stats strict max_errors
         | Error msg -> fail_usage msg)
   in
   let config = build_config rules_file rule_overrides in
-  let circuit, design, source, diags =
-    load ~strict ~max_errors ~jobs ~tile input
-  in
+  let circuit, source, diags = load ~strict ~max_errors ~jobs ~tile input in
   let report = Cli_common.report ~format:diag_format ~tool:"acecheck" ~uri:input in
   match circuit with
   | None ->
       report ~source diags;
       exit 2
   | Some circuit ->
-      (* --hier: re-derive the circuit through the hierarchical extractor
-         and run the summarised (per-leaf-cell) dataflow analysis; the
-         verdict is injected so the engine does not recompute it flat. *)
-      let circuit, flow_arg, cache_stats =
-        if hier then begin
-          match design with
-          | None -> fail_usage "--hier needs CIF input (a layout hierarchy)"
-          | Some design ->
-              let h, _ = Ace_hext.Hext.extract design in
-              let circuit, verdict, cstats =
-                Ace_flow.Summary.analyze ~vdd ~gnd h
-              in
-              (circuit, `Pre verdict, Some cstats)
-        end
-        else (circuit, (if flow then `Auto else `Off), None)
+      (* the context is kept so that -s can report the verdict the flow-*
+         rules forced, if they forced one *)
+      let ctx =
+        Lint.Engine.context ~config ~vdd ~gnd
+          ~flow:(if flow then `Auto else `Off)
+          circuit
       in
-      let findings = Lint.Engine.run ~config ~vdd ~gnd ~flow:flow_arg circuit in
+      let findings = Lint.Engine.check config ctx in
       let fingerprinted =
         List.map (fun f -> (f, Lint.Finding.fingerprint circuit f)) findings
       in
@@ -197,32 +185,20 @@ let run input vdd gnd verbose timing flow hier stats strict max_errors
         | None, [] -> Format.fprintf info_ppf "@.timing: no gates recognized@."
       end;
       Format.pp_print_flush info_ppf ();
-      (* -s: solver / summary-cache telemetry on stderr, like ace -s. *)
+      (* -s: solver telemetry on stderr, like ace -s. *)
       if stats then begin
-        (match flow_arg with
-        | `Off -> Printf.eprintf "acecheck: flow analysis off (use --flow)\n"
-        | (`Auto | `Pre _) as fa -> (
-            let verdict =
-              match fa with
-              | `Pre v -> v
-              | `Auto -> (
-                  match
-                    (Lint.Engine.find_rail circuit vdd,
-                     Lint.Engine.find_rail circuit gnd)
-                  with
-                  | Some v, Some g when v <> g ->
-                      Some (Ace_flow.Ternary.analyze circuit ~vdd:v ~gnd:g)
-                  | _ -> None)
-            in
-            match verdict with
-            | None -> Printf.eprintf "acecheck: flow analysis skipped (rails)\n"
-            | Some v ->
-                Format.eprintf "acecheck: flow %a@." Ace_flow.Solver.pp_stats
-                  v.Ace_flow.Ternary.stats));
-        (match cache_stats with
-        | Some c ->
-            Format.eprintf "acecheck: hier %a@." Ace_flow.Summary.pp_stats c
-        | None -> ());
+        let verdict = ctx.Lint.Rule.flow in
+        (if not flow then
+           Printf.eprintf "acecheck: flow analysis off (use --flow)\n"
+         else if not (Lazy.is_val verdict) then
+           Printf.eprintf
+             "acecheck: flow analysis not run (no flow-* rule enabled)\n"
+         else
+           match Lazy.force verdict with
+           | None -> Printf.eprintf "acecheck: flow analysis skipped (rails)\n"
+           | Some v ->
+               Format.eprintf "acecheck: flow %a@." Ace_flow.Solver.pp_stats
+                 v.Ace_flow.Ternary.stats);
         Cli_common.print_counters ()
       end;
       if errors > 0 then exit 1
@@ -245,22 +221,10 @@ let flow =
            (contention, dead logic, charge storage, charge sharing, X \
            propagation).")
 
-let hier =
-  Arg.(
-    value & flag
-    & info [ "hier" ]
-        ~doc:
-          "CIF input only: extract hierarchically and run the dataflow \
-           analysis with per-leaf-cell summaries (implies $(b,--flow)); \
-           findings are identical to the flat run, repeated cells are \
-           solved once.")
-
 let stats =
   Arg.(
     value & flag
-    & info [ "s"; "stats" ]
-        ~doc:
-          "Print solver and summary-cache telemetry on standard error.")
+    & info [ "s"; "stats" ] ~doc:"Print solver telemetry on standard error.")
 
 let rules_file =
   Arg.(
@@ -330,7 +294,7 @@ let cmd =
          "Electrical rule engine: ratio checks, malformed transistors, \
           stuck signals, pass-network and labelling analyses")
     Term.(
-      const run $ input $ vdd $ gnd $ verbose $ timing $ flow $ hier $ stats
+      const run $ input $ vdd $ gnd $ verbose $ timing $ flow $ stats
       $ Cli_common.strict_t $ Cli_common.max_errors_t
       $ Cli_common.diag_format_t $ rules_file $ rule_overrides $ baseline_file
       $ write_baseline $ list_rules $ jobs $ tile $ Cli_common.trace_t)

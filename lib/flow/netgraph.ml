@@ -5,7 +5,6 @@ type 'a lattice = {
   bottom : 'a;
   join : 'a -> 'a -> 'a;
   equal : 'a -> 'a -> bool;
-  enc : 'a -> int;
 }
 
 type 'a spec = {
@@ -46,11 +45,7 @@ let inflow_at (spec : 'a spec) inc env n =
            ~sattr:spec.attr.(other) ~dattr:spec.attr.(n)))
     spec.lat.bottom inc.(n)
 
-let inflows (spec : 'a spec) devices ~net_count ~values =
-  let inc = incidence devices net_count in
-  Array.init net_count (inflow_at spec inc (fun v -> values.(v)))
-
-let solve (type a) ?cancel ?widen_after (spec : a spec) devices ~net_count =
+let solve (type a) ?cancel (spec : a spec) devices ~net_count =
   let module L = struct
     type t = a
 
@@ -78,6 +73,6 @@ let solve (type a) ?cancel ?widen_after (spec : a spec) devices ~net_count =
           else spec.lat.join spec.seed.(n) (inflow_of env n));
     }
   in
-  let values, stats = S.solve ?cancel ?widen_after system in
+  let values, stats = S.solve ?cancel system in
   let inflows = Array.init net_count (inflow_of (fun v -> values.(v))) in
   (values, inflows, stats)

@@ -14,7 +14,6 @@ type 'a lattice = {
   bottom : 'a;
   join : 'a -> 'a -> 'a;
   equal : 'a -> 'a -> bool;
-  enc : 'a -> int;  (** injective encoding, for memo keys *)
 }
 
 type 'a spec = {
@@ -40,17 +39,7 @@ type 'a spec = {
     must have length [net_count]. *)
 val solve :
   ?cancel:Ace_core.Cancel.t ->
-  ?widen_after:int ->
   'a spec ->
   Circuit.device array ->
   net_count:int ->
   'a array * 'a array * Solver.stats
-
-(** Recompute per-net channel inflows from externally obtained values
-    (used by the hierarchical summariser after its piecewise solve). *)
-val inflows :
-  'a spec ->
-  Circuit.device array ->
-  net_count:int ->
-  values:'a array ->
-  'a array

@@ -34,6 +34,10 @@ let weaken m = ((m land strong) lsl 3) lor (m land weak)
 let xify m =
   (if m land strong <> 0 then sx else 0) lor (if m land weak <> 0 then wx else 0)
 
+(* Channel transfer: what a device passes from [src] towards the other
+   terminal given the abstract [gate] value.  Depletion always conducts
+   and weakens; enhancement conducts when the gate may be high, and
+   contributes an X-ified copy when the gate may be X. *)
 let device_flow dtype ~gate ~src =
   let c = src land (strong lor weak) in
   match dtype with
@@ -46,7 +50,6 @@ let mask_lattice =
     Netgraph.bottom = 0;
     join = ( lor );
     equal = Int.equal;
-    enc = Fun.id;
   }
 
 let bool_lattice =
@@ -54,9 +57,11 @@ let bool_lattice =
     Netgraph.bottom = false;
     join = ( || );
     equal = Bool.equal;
-    enc = Bool.to_int;
   }
 
+(* Heuristic primary inputs: named nets that gate at least one device,
+   never appear on a channel, and are not a rail — the same exemption the
+   undriven lint rule applies. *)
 let default_inputs (c : Circuit.t) ~vdd ~gnd =
   let n = Circuit.net_count c in
   let gates = Array.make n false in
@@ -71,6 +76,9 @@ let default_inputs (c : Circuit.t) ~vdd ~gnd =
       gates.(i) && (not channels.(i)) && i <> vdd && i <> gnd
       && c.nets.(i).Circuit.names <> [])
 
+(* Phase A: nets that are always driven (conservatively: reachable from a
+   rail or input through depletion channels and enhancement channels gated
+   by VDD).  The complement is the charge-storage set. *)
 let always_driven ?cancel (c : Circuit.t) ~vdd ~gnd ~inputs =
   let n = Circuit.net_count c in
   let seed = Array.make n false in
@@ -105,6 +113,8 @@ let always_driven ?cancel (c : Circuit.t) ~vdd ~gnd ~inputs =
   let driven, _, stats = Netgraph.solve ?cancel spec c.devices ~net_count:n in
   (driven, stats)
 
+(* Phase B's equation system (seeds, clamps, channel transfer), once the
+   floating set is known. *)
 let signal_spec (c : Circuit.t) ~vdd ~gnd ~inputs ~floating =
   let n = Circuit.net_count c in
   let seed = Array.init n (fun i -> if floating.(i) then float_bit else 0) in
@@ -153,11 +163,9 @@ type verdict = {
   stats : Solver.stats;
 }
 
-let make_verdict (c : Circuit.t) ~vdd ~gnd ~inputs ~floating ~values ~inflows
-    ~stats =
+let make_verdict (c : Circuit.t) ~vdd ~gnd ~inputs ~floating ~clamp ~values
+    ~inflows ~stats =
   let n = Circuit.net_count c in
-  let spec = signal_spec c ~vdd ~gnd ~inputs ~floating in
-  let clamp = spec.Netgraph.clamp in
   let gates = Array.make n false in
   Array.iter
     (fun (d : Circuit.device) ->
@@ -240,7 +248,7 @@ let merge_stats (a : Solver.stats) (b : Solver.stats) =
     converged = a.Solver.converged && b.Solver.converged;
   }
 
-let analyze ?cancel ?inputs ?widen_after (c : Circuit.t) ~vdd ~gnd =
+let analyze ?cancel ?inputs (c : Circuit.t) ~vdd ~gnd =
   let n = Circuit.net_count c in
   let inputs =
     match inputs with Some a -> a | None -> default_inputs c ~vdd ~gnd
@@ -249,10 +257,10 @@ let analyze ?cancel ?inputs ?widen_after (c : Circuit.t) ~vdd ~gnd =
   let floating = Array.map not driven in
   let spec = signal_spec c ~vdd ~gnd ~inputs ~floating in
   let values, inflows, stats_b =
-    Netgraph.solve ?cancel ?widen_after spec c.devices ~net_count:n
+    Netgraph.solve ?cancel spec c.devices ~net_count:n
   in
-  make_verdict c ~vdd ~gnd ~inputs ~floating ~values ~inflows
-    ~stats:(merge_stats stats_a stats_b)
+  make_verdict c ~vdd ~gnd ~inputs ~floating ~clamp:spec.Netgraph.clamp ~values
+    ~inflows ~stats:(merge_stats stats_a stats_b)
 
 let x_trace v (c : Circuit.t) net =
   let n = Circuit.net_count c in

@@ -1,4 +1,3 @@
-open Ace_tech
 open Ace_netlist
 
 (** Ternary switch-level abstract interpretation.
@@ -31,42 +30,6 @@ val mayx : int -> bool
 (** Render a mask, e.g. ["{S1,W0,FLOAT}"]. *)
 val mask_to_string : int -> string
 
-(** Channel transfer: what a device passes from [src] towards the other
-    terminal given the abstract [gate] value.  Depletion always conducts
-    and weakens; enhancement conducts when the gate may be high, and
-    contributes an X-ified copy when the gate may be X. *)
-val device_flow : Nmos.device_type -> gate:int -> src:int -> int
-
-(** The mask lattice (join = set union). *)
-val mask_lattice : int Netgraph.lattice
-
-(** Heuristic primary inputs: named nets that gate at least one device,
-    never appear on a channel, and are not a rail — the same exemption
-    the undriven lint rule applies. *)
-val default_inputs : Circuit.t -> vdd:int -> gnd:int -> bool array
-
-(** Phase A: nets that are {e always} driven (conservatively: reachable
-    from a rail or input through depletion channels and enhancement
-    channels gated by VDD).  The complement is the charge-storage set. *)
-val always_driven :
-  ?cancel:Ace_core.Cancel.t ->
-  Circuit.t ->
-  vdd:int ->
-  gnd:int ->
-  inputs:bool array ->
-  bool array * Solver.stats
-
-(** Phase-B equation system (seeds, clamps, channel transfer) for a
-    circuit whose floating set is already known.  Exposed so the
-    hierarchical summariser can solve the same system piecewise. *)
-val signal_spec :
-  Circuit.t ->
-  vdd:int ->
-  gnd:int ->
-  inputs:bool array ->
-  floating:bool array ->
-  int Netgraph.spec
-
 type dead = Never_high | Never_low
 
 type verdict = {
@@ -89,27 +52,16 @@ type verdict = {
   stats : Solver.stats;
 }
 
-(** Derive the verdict lists from solved values/inflows.  Shared between
-    the flat analysis and the hierarchical summariser so both report
-    identically. *)
-val make_verdict :
-  Circuit.t ->
-  vdd:int ->
-  gnd:int ->
-  inputs:bool array ->
-  floating:bool array ->
-  values:int array ->
-  inflows:int array ->
-  stats:Solver.stats ->
-  verdict
-
-(** Flat analysis: phase A then phase B on the whole circuit.  Total for
-    any well-formed circuit, including [vdd = gnd] (the shared net is
-    then clamped to [s0 ∨ s1]).  [cancel] is polled inside both solves. *)
+(** Flat analysis: phase A (the nets that are always driven) then phase
+    B (every net's drive mask) on the whole circuit.  Total for any
+    well-formed circuit, including [vdd = gnd] (the shared net is then
+    clamped to [s0 ∨ s1]).  [inputs] defaults to the named nets that gate
+    at least one device, never appear on a channel and are not a rail —
+    the same exemption the undriven lint rule applies.  [cancel] is
+    polled inside both solves. *)
 val analyze :
   ?cancel:Ace_core.Cancel.t ->
   ?inputs:bool array ->
-  ?widen_after:int ->
   Circuit.t ->
   vdd:int ->
   gnd:int ->

@@ -9,7 +9,6 @@ let context ?(config = Config.default) ?(vdd = "VDD") ?(gnd = "GND")
   let flow =
     match flow with
     | `Off -> Lazy.from_val None
-    | `Pre v -> Lazy.from_val v
     | `Auto ->
         lazy
           (match (vdd_net, gnd_net) with
@@ -29,9 +28,8 @@ let context ?(config = Config.default) ?(vdd = "VDD") ?(gnd = "GND")
     flow;
   }
 
-let run ?(config = Config.default) ?vdd ?gnd ?flow circuit =
+let check config ctx =
   Ace_trace.Trace.with_span "lint.run" @@ fun () ->
-  let ctx = context ~config ?vdd ?gnd ?flow circuit in
   List.concat_map
     (fun (r : Rule.t) ->
       match Config.severity_for config r with
@@ -48,3 +46,6 @@ let run ?(config = Config.default) ?vdd ?gnd ?flow circuit =
               })
             (r.Rule.check ctx))
     Rules.all
+
+let run ?(config = Config.default) ?vdd ?gnd circuit =
+  check config (context ~config ?vdd ?gnd circuit)

@@ -7,12 +7,10 @@ open Ace_netlist
     configuration, and concatenates each enabled rule's findings stamped
     with its configured severity, in registry order.
 
-    The [flow] argument controls the ternary dataflow analysis feeding
-    the flow-* rules: [`Auto] (default) computes it lazily the first
-    time an enabled flow rule asks for it; [`Off] disables those rules'
-    input entirely; [`Pre v] injects an already-computed verdict (used
-    by the hierarchical checker so the summarised analysis is reused
-    rather than recomputed flat). *)
+    {!context}'s [flow] argument controls the ternary dataflow analysis
+    feeding the flow-* rules: [`Auto] (default) computes it lazily the
+    first time an enabled flow rule asks for it; [`Off] disables those
+    rules' input entirely. *)
 
 (** [find_rail circuit name] — exact match first, then case-insensitive. *)
 val find_rail : Circuit.t -> string -> int option
@@ -21,14 +19,16 @@ val context :
   ?config:Config.t ->
   ?vdd:string ->
   ?gnd:string ->
-  ?flow:[ `Auto | `Off | `Pre of Ace_flow.Ternary.verdict option ] ->
+  ?flow:[ `Auto | `Off ] ->
   Circuit.t ->
   Rule.ctx
 
+(** [check config ctx] runs the rules [config] enables over [ctx].  A
+    caller that keeps [ctx] can tell from [ctx.flow] whether the rules
+    forced the dataflow verdict. *)
+val check : Config.t -> Rule.ctx -> Finding.t list
+
+(** [run] is [check] over a fresh {!context} with [flow] left at
+    [`Auto]. *)
 val run :
-  ?config:Config.t ->
-  ?vdd:string ->
-  ?gnd:string ->
-  ?flow:[ `Auto | `Off | `Pre of Ace_flow.Ternary.verdict option ] ->
-  Circuit.t ->
-  Finding.t list
+  ?config:Config.t -> ?vdd:string -> ?gnd:string -> Circuit.t -> Finding.t list

@@ -24,6 +24,19 @@ module Nmos = Ace_tech.Nmos
 
 let max_devices = 1_000_000
 
+(* Instance activations a flattening may expand.  Above the device cap,
+   so that a deck of one-device cells stops at the device cap. *)
+let max_instances = 2_000_000
+
+let too_large span what =
+  let cap, unit =
+    match what with
+    | `Devices -> (max_devices, "devices")
+    | `Instances -> (max_instances, "instances")
+  in
+  Diag.error ~span ~code:"lvs-ref-too-large"
+    (Printf.sprintf "flattened netlist exceeds %d %s; truncating" cap unit)
+
 (* ---------- growable arrays --------------------------------------------- *)
 
 type 'a vec = { mutable items : 'a array; mutable n : int }
@@ -591,10 +604,11 @@ let scan text =
     keys = new_keys ();
   }
 
-(* Device count of each subckt's full expansion, saturating at
-   [max_devices + 1]; -1 when the expansion meets an undefined subckt, a
-   pin-count mismatch or recursion. *)
-let expanded_size sc =
+(* A count over each subckt's full expansion, [dev] per device and [inst]
+   per instance activation, saturating at [cap + 1]; -1 when the
+   expansion meets an undefined subckt, a pin-count mismatch or
+   recursion. *)
+let expanded_count sc ~dev ~inst ~cap =
   let memo = Array.make (Array.length sc.subckts) (-3) (* unvisited *) in
   let rec size (s : scope) =
     match memo.(s.s_name) with
@@ -607,12 +621,12 @@ let expanded_size sc =
               if total < 0 then total
               else
                 match it with
-                | Dev _ -> min (max_devices + 1) (total + 1)
+                | Dev _ -> min (cap + 1) (total + dev)
                 | Inst i -> (
                     match sc.subckts.(i.i_sub) with
                     | Some c when i.i_nodes = Array.length c.s_pins ->
                         let n = size c in
-                        if n < 0 then -1 else min (max_devices + 1) (total + n)
+                        if n < 0 then -1 else min (cap + 1) (total + inst + n)
                     | _ -> -1))
             0 s.s_items
         in
@@ -622,12 +636,18 @@ let expanded_size sc =
   in
   size
 
+let expanded_size sc = expanded_count sc ~dev:1 ~inst:0 ~cap:max_devices
+
 (* ---------- walks ------------------------------------------------------- *)
 
 (* One expansion into one circuit: its nets (a key space over [keys]),
    its devices, and the frame stack of the activations under way.  A
    frame is the nets of an instance's actual nodes (what its formals
-   bind to) or of a scope's slots (-1 until first resolved).  The walks
+   bind to), an activation's key, or a scope's slots (-1 until first
+   resolved).  A key frame at [kb] holds the parent activation's key
+   frame, the instance name and the key node, -1 until a local net first
+   needs it: an activation with no local net of its own, or below one,
+   adds nothing to the trie.  [root_key] is the empty key.  The walks
    over one scan share its key nodes, each under its own stamp, so a walk
    must be done resolving before the next one starts. *)
 type frames = {
@@ -657,14 +677,18 @@ type walk = {
   mutable hinted : int list;  (** unknown models already diagnosed *)
   mutable diags : Diag.t list;  (** reversed *)
   cap : int;
+  mutable instances : int;  (** activations so far *)
 }
 
 exception Full
 
+(* The key frame every stack starts with: its node, 0, is the empty key. *)
+let root_key = 0
+
 let new_frames sc =
   {
     st = Array.make 64 0;
-    sp = 0;
+    sp = root_key + 3;
     path = Ibuf.create ();
     buf = Buffer.create 64;
     active = Array.make (Array.length sc.subckts) 0;
@@ -704,6 +728,7 @@ let new_walk sc fr ~cell ~gnd ~cap ~devices =
     hinted = [];
     diags = [];
     cap;
+    instances = 0;
   }
 
 let reserve w n =
@@ -712,6 +737,16 @@ let reserve w n =
     let st = Array.make (max (fr.sp + n) (2 * Array.length fr.st)) 0 in
     Array.blit fr.st 0 st 0 fr.sp;
     fr.st <- st
+  end
+
+(* The key node of the key frame at [kb]. *)
+let rec key_node w kb =
+  let node = w.fr.st.(kb + 2) in
+  if node >= 0 then node
+  else begin
+    let node = name_node w.sc (key_node w w.fr.st.(kb)) w.fr.st.(kb + 1) in
+    w.fr.st.(kb + 2) <- node;
+    node
   end
 
 (* The walk's net at key [node], or -1. *)
@@ -755,11 +790,11 @@ let implicit_net w id display =
       w.implicit <- (id, net) :: w.implicit;
       net
 
-(* The net of term [t] in an activation of [scope] at key [node], with
-   its slot frame at [sb] and its actuals at [fb]: ground first, then the
-   formals, then globals and the top level by bare name, then locals by
-   path.  Display names are built only for new nets. *)
-let resolve w scope ~node ~sb ~fb t =
+(* The net of term [t] in an activation of [scope] with its key frame at
+   [kb], its slot frame at [sb] and its actuals at [fb]: ground first,
+   then the formals, then globals and the top level by bare name, then
+   locals by path.  Display names are built only for new nets. *)
+let resolve w scope ~kb ~sb ~fb t =
   let slot = w.sc.term_slot.(t) in
   let cached = w.fr.st.(sb + slot) in
   if cached >= 0 then cached
@@ -774,7 +809,7 @@ let resolve w scope ~node ~sb ~fb t =
         w.fr.st.(fb + scope.s_slot_formal.(slot))
       else if global && w.cell then implicit_net w id (fun () -> term_text w t)
       else
-        let key = name_node w.sc (if global then 0 else node) id in
+        let key = name_node w.sc (if global then 0 else key_node w kb) id in
         let net = net_of w key in
         if net >= 0 then net
         else new_net w key (if global then term_text w t else local_name w t)
@@ -805,18 +840,15 @@ let dtype_of w (d : dev) =
         Nmos.Enhancement
       end
 
-let device w scope ~node ~sb ~fb (d : dev) =
+let device w scope ~kb ~sb ~fb (d : dev) =
   if w.devices.n >= w.cap then begin
-    diag w
-      (Diag.error ~span:d.d_span ~code:"lvs-ref-too-large"
-         (Printf.sprintf "flattened netlist exceeds %d devices; truncating"
-            w.cap));
+    diag w (too_large d.d_span `Devices);
     raise Full
   end;
   (* drain, source, gate: the order that has always numbered new nets *)
-  let drain = resolve w scope ~node ~sb ~fb d.d_terms in
-  let source = resolve w scope ~node ~sb ~fb (d.d_terms + 2) in
-  let gate = resolve w scope ~node ~sb ~fb (d.d_terms + 1) in
+  let drain = resolve w scope ~kb ~sb ~fb d.d_terms in
+  let source = resolve w scope ~kb ~sb ~fb (d.d_terms + 2) in
+  let gate = resolve w scope ~kb ~sb ~fb (d.d_terms + 1) in
   push w.devices
     {
       Circuit.dtype = dtype_of w d;
@@ -829,10 +861,10 @@ let device w scope ~node ~sb ~fb (d : dev) =
       geometry = [];
     }
 
-(* Walk [scope] at key [node] with its formals bound to the frame at
-   [fb]: its devices in card order, each instance's actual nodes resolved
-   in order before its body is walked. *)
-let rec activate w scope ~node ~fb =
+(* Walk [scope] with its key frame at [kb] and its formals bound to the
+   frame at [fb]: its devices in card order, each instance's actual nodes
+   resolved in order before its body is walked. *)
+let rec activate w scope ~kb ~fb =
   let sb = w.fr.sp in
   let n = Array.length scope.s_slot_names in
   reserve w n;
@@ -840,12 +872,12 @@ let rec activate w scope ~node ~fb =
   w.fr.sp <- sb + n;
   Array.iter
     (function
-      | Dev d -> device w scope ~node ~sb ~fb d
-      | Inst i -> instance w scope ~node ~sb ~fb i)
+      | Dev d -> device w scope ~kb ~sb ~fb d
+      | Inst i -> instance w scope ~kb ~sb ~fb i)
     scope.s_items;
   w.fr.sp <- sb
 
-and instance w scope ~node ~sb ~fb i =
+and instance w scope ~kb ~sb ~fb i =
   let names = w.sc.names in
   let inst_name () = String.sub w.sc.text i.i_name i.i_name_len in
   match w.sc.subckts.(i.i_sub) with
@@ -865,18 +897,25 @@ and instance w scope ~node ~sb ~fb i =
            (Printf.sprintf "instance %s passes %d nodes but %s declares %d pins"
               (inst_name ()) i.i_nodes names.upper.items.(sub.s_name)
               (Array.length sub.s_pins)))
+  | Some _ when w.instances >= max_instances ->
+      diag w (too_large i.i_span `Instances);
+      raise Full
   | Some sub ->
+      w.instances <- w.instances + 1;
       let ab = w.fr.sp in
-      reserve w i.i_nodes;
+      let ikb = ab + i.i_nodes in
+      reserve w (i.i_nodes + 3);
       for k = 0 to i.i_nodes - 1 do
-        w.fr.st.(ab + k) <- resolve w scope ~node ~sb ~fb (i.i_terms + k)
+        w.fr.st.(ab + k) <- resolve w scope ~kb ~sb ~fb (i.i_terms + k)
       done;
-      w.fr.sp <- ab + i.i_nodes;
+      w.fr.st.(ikb) <- kb;
+      w.fr.st.(ikb + 1) <- i.i_name_id;
+      w.fr.st.(ikb + 2) <- -1;
+      w.fr.sp <- ikb + 3;
       Ibuf.push w.fr.path i.i_name;
       Ibuf.push w.fr.path i.i_name_len;
       w.fr.active.(i.i_sub) <- w.fr.active.(i.i_sub) + 1;
-      let node = name_node w.sc node i.i_name_id in
-      activate w sub ~node ~fb:ab;
+      activate w sub ~kb:ikb ~fb:ab;
       w.fr.active.(i.i_sub) <- w.fr.active.(i.i_sub) - 1;
       w.fr.path.len <- w.fr.path.len - 2;
       w.fr.sp <- ab
@@ -904,9 +943,9 @@ let circuit_of w name =
 
 (* ---------- the flat circuit ---------------------------------------------- *)
 
-(* The walk stops at the first device past the cap: that device's span
-   carries lvs-ref-too-large, and the circuit keeps the devices before
-   it. *)
+(* The walk stops at the first device or instance past its cap: that
+   card's span carries lvs-ref-too-large, and the circuit keeps the
+   devices before it. *)
 let flatten ~name ~gnd sc =
   let size = expanded_size sc in
   let devices =
@@ -922,7 +961,7 @@ let flatten ~name ~gnd sc =
   let w =
     new_walk sc (new_frames sc) ~cell:false ~gnd ~cap:max_devices ~devices
   in
-  (try activate w sc.top ~node:0 ~fb:0 with Full -> ());
+  (try activate w sc.top ~kb:root_key ~fb:0 with Full -> ());
   (circuit_of w name, sc.sc_diags @ List.rev w.diags)
 
 let parse ?(name = "reference") ?(gnd = "GND") text =
@@ -962,7 +1001,7 @@ let build_cell sc fr ~gnd ~size sub =
   Array.blit pin_nets 0 fr.st fb (Array.length pins);
   fr.sp <- fb + Array.length pins;
   fr.active.(sub.s_name) <- 1;
-  activate w sub ~node:0 ~fb;
+  activate w sub ~kb:root_key ~fb;
   fr.active.(sub.s_name) <- 0;
   fr.sp <- fb;
   let implicit = List.rev w.implicit in
@@ -977,10 +1016,33 @@ let build_cell sc fr ~gnd ~size sub =
     hc_pin_nets = Array.append pin_nets (Array.of_list (List.map snd implicit));
   }
 
+(* [count] summed over the distinct subckts instantiated at the top,
+   saturating at [cap + 1]; -1 when a top-level instance's expansion is
+   obstructed. *)
+let cells_total sc count ~cap =
+  let seen = Array.make (Array.length sc.subckts) false in
+  Array.fold_left
+    (fun total it ->
+      match it with
+      | Dev _ -> total
+      | Inst _ when total < 0 -> total
+      | Inst i -> (
+          match sc.subckts.(i.i_sub) with
+          | Some sub when i.i_nodes = Array.length sub.s_pins ->
+              let n = count sub in
+              if n < 0 then -1
+              else if seen.(i.i_sub) then total
+              else begin
+                seen.(i.i_sub) <- true;
+                min (cap + 1) (total + n)
+              end
+          | _ -> -1))
+    0 sc.top.s_items
+
 (* [None] when the deck has a first-pass error or no top-level instance,
    or when a top-level instance's expansion is obstructed or the cells
-   together pass the device cap — all decided before anything is
-   expanded. *)
+   together pass the device or the instance cap — all decided before
+   anything is expanded, so the cell walks stay under both caps. *)
 let view ~name ~gnd sc =
   let has_inst =
     Array.exists (function Inst _ -> true | Dev _ -> false) sc.top.s_items
@@ -988,27 +1050,14 @@ let view ~name ~gnd sc =
   if List.exists Diag.is_error sc.sc_diags || not has_inst then None
   else begin
     let size = expanded_size sc in
-    let seen = Array.make (Array.length sc.subckts) false in
-    let total =
-      Array.fold_left
-        (fun total it ->
-          match it with
-          | Dev _ -> total
-          | Inst _ when total < 0 -> total
-          | Inst i -> (
-              match sc.subckts.(i.i_sub) with
-              | Some sub when i.i_nodes = Array.length sub.s_pins ->
-                  let n = size sub in
-                  if n < 0 then -1
-                  else if seen.(i.i_sub) then total
-                  else begin
-                    seen.(i.i_sub) <- true;
-                    min (max_devices + 1) (total + n)
-                  end
-              | _ -> -1))
-        0 sc.top.s_items
-    in
-    if total < 0 || total > max_devices then None
+    let devices = cells_total sc size ~cap:max_devices in
+    if
+      devices < 0 || devices > max_devices
+      || cells_total sc
+           (expanded_count sc ~dev:0 ~inst:1 ~cap:max_instances)
+           ~cap:max_instances
+         > max_instances
+    then None
     else begin
       (* one cell per subckt instantiated at the top, in first-instance
          order; built before the glue, since walks take turns on the key
@@ -1042,14 +1091,14 @@ let view ~name ~gnd sc =
           (fun insts it ->
             match it with
             | Dev d ->
-                device g top ~node:0 ~sb ~fb:0 d;
+                device g top ~kb:root_key ~sb ~fb:0 d;
                 insts
             | Inst i ->
                 let ci = cell_index.(i.i_sub) in
                 let cell = cells.items.(ci) in
                 let formal_nets =
                   Array.init i.i_nodes (fun k ->
-                      resolve g top ~node:0 ~sb ~fb:0 (i.i_terms + k))
+                      resolve g top ~kb:root_key ~sb ~fb:0 (i.i_terms + k))
                 in
                 let implicit_nets =
                   List.filteri (fun k _ -> k >= cell.hc_formals) cell.hc_pins

@@ -16,14 +16,35 @@ open Ace_netlist
     the comparator ({!Match}) and the existing wirelist machinery consume
     reference netlists and extracted layouts identically. *)
 
+(** {1 Expansion budgets}
+
+    Both reference readers ({!parse}, {!hier_view} and {!Verilog.parse})
+    stop flattening at the first device past [max_devices] (1,000,000)
+    or the first instance activation past [max_instances] (2,000,000).
+    A deck with more than two activations per device reaches the
+    instance cap first: HEXT's SPICE decks carry up to three (psc:
+    75,495 activations for 25,453 devices), so a HEXT-style deck above
+    about 667,000 devices is truncated with [lvs-ref-too-large] although
+    it is under the device cap. *)
+
+val max_devices : int
+val max_instances : int
+
+(** [too_large span what] is the [lvs-ref-too-large] error a reader puts
+    on the first device ([`Devices]) or instance ([`Instances]) past its
+    cap. *)
+val too_large :
+  Ace_diag.Diag.span -> [ `Devices | `Instances ] -> Ace_diag.Diag.t
+
 (** [parse ?name ?gnd text] — [gnd] (default ["GND"]) is the net that
     SPICE node [0] aliases.  Net and model names are case-insensitive;
     devices missing [L=]/[W=] get 0 (meaning "unknown", skipped by size
     comparison).  Dimension suffixes: [U] microns, [N] nanometers, [M]
     millimeters; bare numbers are centimicrons.  The flattened circuit
-    keeps the first 1,000,000 devices: expansion stops at the next one,
-    which carries an [lvs-ref-too-large] error, and no card after it adds
-    nets or diagnostics. *)
+    keeps the first 1,000,000 devices and expands at most 2,000,000
+    instances: expansion stops at the next device or instance, which
+    carries an [lvs-ref-too-large] error, and no card after it adds nets
+    or diagnostics. *)
 val parse :
   ?name:string -> ?gnd:string -> string -> Circuit.t * Ace_diag.Diag.t list
 
@@ -76,8 +97,8 @@ val hier_view : ?name:string -> ?gnd:string -> string -> hview option
     Otherwise {!parse} can give two instances, or an instance and a
     top-level node, one net key where the view keeps them apart.  The
     expansion is checked before anything is built: an obstructed deck,
-    or one whose cells together pass the 1,000,000-device cap, costs
-    one pass over its cards. *)
+    or one whose cells together pass the 1,000,000-device or the
+    2,000,000-instance cap, costs one pass over its cards. *)
 
 val load_view :
   ?name:string ->

@@ -399,32 +399,28 @@ let parse ?(name = "reference") ?(vdd = "VDD") ?(gnd = "GND") text =
   in
   let devices = ref [] in
   let n_devices = ref 0 in
-  let max_devices = 1_000_000 in
+  (* module activations; the first device or activation past its cap
+     ends the walk, as in the SPICE reader *)
+  let n_instances = ref 0 in
+  let exception Too_large in
   let emit_dev span dtype ~gate ~source ~drain =
-    if !n_devices >= max_devices then begin
-      if !n_devices = max_devices then
-        diag
-          (Diag.error ~span ~code:"lvs-ref-too-large"
-             (Printf.sprintf
-                "flattened netlist exceeds %d devices; truncating"
-                max_devices));
-      incr n_devices
-    end
-    else begin
-      devices :=
-        {
-          Circuit.dtype;
-          gate;
-          source;
-          drain;
-          length = 0;
-          width = 0;
-          location = Point.make !n_devices 0;
-          geometry = [];
-        }
-        :: !devices;
-      incr n_devices
-    end
+    if !n_devices >= Reference.max_devices then begin
+      diag (Reference.too_large span `Devices);
+      raise Too_large
+    end;
+    devices :=
+      {
+        Circuit.dtype;
+        gate;
+        source;
+        drain;
+        length = 0;
+        width = 0;
+        location = Point.make !n_devices 0;
+        geometry = [];
+      }
+      :: !devices;
+    incr n_devices
   in
   let fresh = ref 0 in
   let fresh_net path =
@@ -578,7 +574,12 @@ let parse ?(name = "reference") ?(vdd = "VDD") ?(gnd = "GND") text =
                 (Diag.error ~span:inst.v_span ~code:"lvs-ref-recursive"
                    (Printf.sprintf "recursive expansion of module %s"
                       sub.m_name))
+            else if !n_instances >= Reference.max_instances then begin
+              diag (Reference.too_large inst.v_span `Instances);
+              raise Too_large
+            end
             else begin
+              incr n_instances;
               let bind' =
                 match conn_nets path bind inst with
                 | None -> None
@@ -668,7 +669,9 @@ let parse ?(name = "reference") ?(vdd = "VDD") ?(gnd = "GND") text =
             | Some (`Pos nets, _) -> lower_prim inst path nets))
       (List.rev m.m_insts)
   in
-  (match top with None -> () | Some m -> emit "" [ m.m_name ] m []);
+  (match top with
+  | None -> ()
+  | Some m -> ( try emit "" [ m.m_name ] m [] with Too_large -> ()));
   let nets =
     !net_names |> List.rev
     |> List.mapi (fun i display ->

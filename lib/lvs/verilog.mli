@@ -21,7 +21,12 @@ open Ace_netlist
     The compared module is the last-defined module that is never
     instantiated (falling back to the last-defined module); the rest are
     expanded into it.  [vdd]/[gnd] (defaults ["VDD"]/["GND"]) are
-    implicit global nets, and node [0] aliases ground as in SPICE. *)
+    implicit global nets, and node [0] aliases ground as in SPICE.
+
+    Expansion keeps the SPICE reader's budgets ({!Reference.max_devices}
+    devices, {!Reference.max_instances} module instances): the next
+    device or instance carries an [lvs-ref-too-large] error and ends the
+    walk, so no instance after it adds nets, devices or diagnostics. *)
 
 val parse :
   ?name:string ->

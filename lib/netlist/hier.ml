@@ -152,11 +152,8 @@ let children ix i =
 type activation = {
   act_part : string;
   act_nets : int array;
-  act_bound : bool array;
-  act_exports : bool array;
   act_leaf : bool;
   act_device : int;
-  act_device_count : int;
 }
 
 (* Devices and local nets in the full expansion of part [i], memoized on
@@ -190,7 +187,6 @@ type walk = {
   first_dev : int array;  (** element -> first flat device touching it *)
   touched : Ibuf.t;  (** elements some device touches, first touch first *)
   acts : Ibuf.t;  (** part index, base, first device per activation *)
-  mutable bounds : bool array list;  (** per activation, reversed *)
 }
 
 let no_device =
@@ -220,9 +216,7 @@ let add_device w k base (d : hdevice) offset =
   touch w k 1 (base + d.source);
   touch w k 2 (base + d.drain)
 
-(* [bound] records, per activation, which locals its parent binds: only
-   activation records need it. *)
-let walk_hierarchy ~bound ix root =
+let walk_hierarchy ix root =
   let n_dev, n_el = sizes ix root in
   let w =
     {
@@ -233,7 +227,6 @@ let walk_hierarchy ~bound ix root =
       first_dev = Array.make n_el (-1);
       touched = Ibuf.create ();
       acts = Ibuf.create ();
-      bounds = [];
     }
   in
   let k = ref 0 in
@@ -253,18 +246,14 @@ let walk_hierarchy ~bound ix root =
     List.iteri
       (fun j (inst : instance) ->
         let child_base = instantiate kids.(j) (Point.add offset inst.offset) in
-        (* the child's own bound array is the last one pushed *)
-        let child_bound = if bound then List.hd w.bounds else [||] in
         List.iter
           (fun (inner, outer) ->
-            if bound then child_bound.(inner) <- true;
             ignore (Union_find.union w.uf (child_base + inner) (base + outer)))
           inst.net_map)
       p.instances;
     Ibuf.push w.acts pi;
     Ibuf.push w.acts base;
     Ibuf.push w.acts first;
-    if bound then w.bounds <- Array.make p.net_count false :: w.bounds;
     base
   in
   ignore (instantiate root Point.origin);
@@ -335,24 +324,18 @@ let flatten_ext t =
   | [] -> ()
   | p :: _ -> fail "invalid hierarchy: %s" p);
   let ix = index t in
-  let w = walk_hierarchy ~bound:true ix (find_index ix t.top) in
+  let w = walk_hierarchy ix (find_index ix t.top) in
   let dense = Union_find.compress w.uf in
   let circuit = circuit_of_walk ix w t.top dense in
   let a = w.acts.data in
-  let bounds = Array.of_list (List.rev w.bounds) in
   let activations =
-    List.init (Array.length bounds) (fun i ->
+    List.init (w.acts.len / 3) (fun i ->
         let p = ix.ix_parts.(a.(3 * i)) and base = a.((3 * i) + 1) in
-        let exports = Array.make p.net_count false in
-        List.iter (fun e -> exports.(e) <- true) p.exports;
         {
           act_part = p.part_name;
           act_nets = Array.init p.net_count (fun l -> dense.(base + l));
-          act_bound = bounds.(i);
-          act_exports = exports;
           act_leaf = p.instances = [];
           act_device = a.((3 * i) + 2);
-          act_device_count = List.length p.devices;
         })
   in
   (circuit, activations)
@@ -366,7 +349,7 @@ let flatten_sub ix name =
     | Some i -> i
     | None -> fail "invalid hierarchy: top part %S undefined" name
   in
-  let w = walk_hierarchy ~bound:false ix root in
+  let w = walk_hierarchy ix root in
   let dense = Union_find.compress w.uf in
   ( circuit_of_walk ix w name dense,
     Array.init ix.ix_parts.(root).net_count (fun l -> dense.(l)) )

@@ -61,27 +61,18 @@ val flat_device_count : t -> int
 val flatten : t -> Circuit.t
 
 (** One record per part activation in the expansion, for consumers that
-    need the hierarchy's shape over the flat circuit (e.g. per-leaf-cell
-    analysis summaries):
+    need the hierarchy's shape over the flat circuit (the tiled
+    extractor's stitch):
 
     - [act_nets.(l)] is the flat net index of local net [l];
-    - [act_bound.(l)] marks locals bound to the parent through the
-      instance's net map;
-    - [act_exports.(l)] marks declared exports;
     - [act_leaf] is true when the part has no instances;
-    - the activation's own primitive devices occupy the contiguous flat
-      device range [act_device, act_device + act_device_count).
-
-    A local that is neither bound nor exported maps to a flat net touched
-    by no other activation's devices. *)
+    - the activation's own primitive devices are the consecutive flat
+      devices from [act_device] on, in the part's device order. *)
 type activation = {
   act_part : string;
   act_nets : int array;
-  act_bound : bool array;
-  act_exports : bool array;
   act_leaf : bool;
   act_device : int;
-  act_device_count : int;
 }
 
 (** [flatten_ext t] is {!flatten} plus the activation records of the

@@ -24,8 +24,6 @@ module Counter = struct
     | Net_merges
     | Transistors
     | Solver_iterations
-    | Summary_hits
-    | Summary_misses
     | Diags
     | Cache_hits
     | Cache_misses
@@ -42,7 +40,7 @@ module Counter = struct
     | Seam_merges_h
     | Seam_merges_v
 
-  let cardinal = 25
+  let cardinal = 23
 
   let index = function
     | Boxes_popped -> 0
@@ -53,23 +51,21 @@ module Counter = struct
     | Net_merges -> 5
     | Transistors -> 6
     | Solver_iterations -> 7
-    | Summary_hits -> 8
-    | Summary_misses -> 9
-    | Diags -> 10
-    | Cache_hits -> 11
-    | Cache_misses -> 12
-    | Cache_evictions -> 13
-    | Deadline_kills -> 14
-    | Overloads -> 15
-    | Lvs_reductions -> 16
-    | Lvs_rounds -> 17
-    | Lvs_matches -> 18
-    | Lvs_cell_matches -> 19
-    | Lvs_cell_hits -> 20
-    | Tiles_extracted -> 21
-    | Tile_steals -> 22
-    | Seam_merges_h -> 23
-    | Seam_merges_v -> 24
+    | Diags -> 8
+    | Cache_hits -> 9
+    | Cache_misses -> 10
+    | Cache_evictions -> 11
+    | Deadline_kills -> 12
+    | Overloads -> 13
+    | Lvs_reductions -> 14
+    | Lvs_rounds -> 15
+    | Lvs_matches -> 16
+    | Lvs_cell_matches -> 17
+    | Lvs_cell_hits -> 18
+    | Tiles_extracted -> 19
+    | Tile_steals -> 20
+    | Seam_merges_h -> 21
+    | Seam_merges_v -> 22
 
   let all =
     [
@@ -81,8 +77,6 @@ module Counter = struct
       Net_merges;
       Transistors;
       Solver_iterations;
-      Summary_hits;
-      Summary_misses;
       Diags;
       Cache_hits;
       Cache_misses;
@@ -109,8 +103,6 @@ module Counter = struct
     | Net_merges -> "net_merges"
     | Transistors -> "transistors"
     | Solver_iterations -> "solver_iterations"
-    | Summary_hits -> "summary_hits"
-    | Summary_misses -> "summary_misses"
     | Diags -> "diags"
     | Cache_hits -> "cache_hits"
     | Cache_misses -> "cache_misses"
@@ -136,8 +128,6 @@ module Counter = struct
     | Net_merges -> "net unions that actually merged two classes"
     | Transistors -> "transistor channels recognized by the engine"
     | Solver_iterations -> "fixpoint solver transfer-function evaluations"
-    | Summary_hits -> "hierarchical summary-cache hits"
-    | Summary_misses -> "hierarchical summary-cache misses"
     | Diags -> "diagnostics constructed"
     | Cache_hits -> "persistent extraction-cache hits"
     | Cache_misses -> "persistent extraction-cache misses"

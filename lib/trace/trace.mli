@@ -16,8 +16,6 @@ module Counter : sig
     | Net_merges  (** net unions that actually merged two classes *)
     | Transistors  (** transistor channels recognized by the engine *)
     | Solver_iterations  (** fixpoint transfer-function evaluations *)
-    | Summary_hits  (** hierarchical summary-cache hits *)
-    | Summary_misses  (** hierarchical summary-cache misses *)
     | Diags  (** diagnostics constructed *)
     | Cache_hits  (** persistent extraction-cache hits *)
     | Cache_misses  (** persistent extraction-cache misses *)

@@ -755,7 +755,6 @@ let flatten_ext t =
   let rec instantiate part_def (offset : Point.t) =
     (* fresh global nets for this activation's local nets *)
     let map = Array.init part_def.net_count (fun _ -> Union_find.fresh uf) in
-    let bound = Array.make part_def.net_count false in
     let first_device = !dev_counter in
     List.iter
       (fun (n, name) ->
@@ -782,33 +781,24 @@ let flatten_ext t =
             location )
           :: !devices)
       part_def.devices;
-    let own_devices = !dev_counter - first_device in
     List.iter
       (fun (inst : instance) ->
         let child = part t inst.part_name in
-        let child_map, child_bound =
-          instantiate child (Point.add offset inst.offset)
-        in
+        let child_map = instantiate child (Point.add offset inst.offset) in
         List.iter
           (fun (inner, outer) ->
-            child_bound.(inner) <- true;
             ignore (Union_find.union uf child_map.(inner) map.(outer)))
           inst.net_map)
       part_def.instances;
-    let exports = Array.make part_def.net_count false in
-    List.iter (fun e -> exports.(e) <- true) part_def.exports;
     activations :=
       {
         act_part = part_def.part_name;
         act_nets = map;
-        act_bound = bound;
-        act_exports = exports;
         act_leaf = part_def.instances = [];
         act_device = first_device;
-        act_device_count = own_devices;
       }
       :: !activations;
-    (map, bound)
+    map
   in
   ignore (instantiate (part t t.top) Point.origin);
   let dense = Union_find.compress uf in

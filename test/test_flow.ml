@@ -1,6 +1,5 @@
 (* Tests for Ace_flow: the generic fixpoint solver, the reachability
-   analyses, the ternary switch-level abstract interpretation, and the
-   hierarchical (leaf-summary) analysis. *)
+   analyses and the ternary switch-level abstract interpretation. *)
 open Ace_netlist
 open Ace_flow
 
@@ -379,112 +378,6 @@ let qcheck_soundness =
   Tutil.qtest ~count:200 "flow sound vs exhaustive sim" gen_railed_circuit
     flow_sound_vs_sim
 
-(* ------------------------------------------------------------------ *)
-(* Hierarchical summaries                                              *)
-(* ------------------------------------------------------------------ *)
-
-let verdicts_agree (a : Ternary.verdict) (b : Ternary.verdict) =
-  a.Ternary.values = b.Ternary.values
-  && a.Ternary.inflows = b.Ternary.inflows
-  && a.Ternary.floating = b.Ternary.floating
-  && a.Ternary.contention = b.Ternary.contention
-  && a.Ternary.bridges = b.Ternary.bridges
-  && a.Ternary.dead = b.Ternary.dead
-  && a.Ternary.float_nets = b.Ternary.float_nets
-  && a.Ternary.share = b.Ternary.share
-  && a.Ternary.x_devices = b.Ternary.x_devices
-  && a.Ternary.x_nets = b.Ternary.x_nets
-
-(* A hand-built hierarchy: one inverter leaf cell instantiated n times
-   in a chain, rails shared.  Locals: 0=VDD 1=GND 2=IN 3=OUT, plus an
-   internal node 4 (series pull-down through an always-on transistor)
-   so each activation has state of its own to summarise. *)
-let inverter_chain_hier n =
-  let hdev dtype gate source drain length =
-    {
-      Hier.dtype;
-      gate;
-      source;
-      drain;
-      length;
-      width = 2;
-      location = Ace_geom.Point.origin;
-    }
-  in
-  let leaf =
-    {
-      Hier.part_name = "inv";
-      net_count = 5;
-      exports = [ 0; 1; 2; 3 ];
-      net_names = [];
-      devices =
-        [
-          hdev Ace_tech.Nmos.Depletion 3 0 3 8;
-          hdev Ace_tech.Nmos.Enhancement 2 3 4 2;
-          hdev Ace_tech.Nmos.Enhancement 0 4 1 2;
-        ];
-      instances = [];
-    }
-  in
-  let top =
-    {
-      Hier.part_name = "chain";
-      net_count = n + 3;
-      exports = [];
-      net_names = [ (0, "VDD"); (1, "GND"); (2, "A") ];
-      devices = [];
-      instances =
-        List.init n (fun k ->
-            {
-              Hier.part_name = "inv";
-              inst_name = Printf.sprintf "i%d" k;
-              offset = Ace_geom.Point.origin;
-              net_map = [ (0, 0); (1, 1); (2, 2 + k); (3, 3 + k) ];
-            });
-    }
-  in
-  { Hier.parts = [ leaf; top ]; top = "chain" }
-
-let test_summary_matches_flat () =
-  let h = inverter_chain_hier 6 in
-  check "hierarchy valid" true (Hier.validate h = []);
-  let circuit, verdict, stats = Summary.analyze h in
-  match verdict with
-  | None -> Alcotest.fail "expected a verdict (rails present)"
-  | Some hier_verdict ->
-      let v, g = rails circuit in
-      let flat_verdict = Ternary.analyze circuit ~vdd:v ~gnd:g in
-      check "identical findings flat vs hier" true
-        (verdicts_agree hier_verdict flat_verdict);
-      check_int "six instances summarised" 6 stats.Summary.instances;
-      check "cache hits on repeated cells" true (stats.Summary.hits > 0)
-
-let test_summary_hext_chain () =
-  (* the same identity through the real hierarchical extractor *)
-  let design =
-    Ace_cif.Design.of_ast (Ace_workloads.Chips.inverter_chain ~n:8 ())
-  in
-  let h, _ = Ace_hext.Hext.extract design in
-  let circuit, verdict, _ = Summary.analyze h in
-  match verdict with
-  | None -> Alcotest.fail "expected a verdict (rails present)"
-  | Some hier_verdict ->
-      let v, g = rails circuit in
-      let flat_verdict = Ternary.analyze circuit ~vdd:v ~gnd:g in
-      check "identical findings flat vs hier" true
-        (verdicts_agree hier_verdict flat_verdict)
-
-let test_summary_no_rails () =
-  (* array workloads carry no rails: the summariser reports None
-     instead of raising *)
-  let design =
-    Ace_cif.Design.of_ast (Ace_workloads.Arrays.mesh ~rows:2 ~cols:2 ())
-  in
-  let h, _ = Ace_hext.Hext.extract design in
-  let _, verdict, stats = Summary.analyze h in
-  check "no verdict without rails" true (verdict = None);
-  check_int "no leaf solves" 0 stats.Summary.misses
-
 let () =
   Alcotest.run "flow"
     [
@@ -515,10 +408,4 @@ let () =
             test_ternary_corpus_converges;
         ] );
       ("soundness", [ qcheck_soundness ]);
-      ( "summary",
-        [
-          Alcotest.test_case "matches flat" `Quick test_summary_matches_flat;
-          Alcotest.test_case "hext chain" `Quick test_summary_hext_chain;
-          Alcotest.test_case "no rails" `Quick test_summary_no_rails;
-        ] );
     ]

@@ -1287,31 +1287,67 @@ let prop_view_matches_flat =
             (fst (Reference.parse text))
           = Match.Equivalent)
 
-let test_expansion_bomb () =
-  let text = data_file "regress/ref_expansion_bomb.sp" in
+(* [text] with [line] inserted before its last [marker]. *)
+let insert_before_last text marker line =
+  let rec find i =
+    if String.sub text i (String.length marker) = marker then i
+    else find (i - 1)
+  in
+  let cut = find (String.length text - String.length marker) in
+  String.sub text 0 cut ^ line ^ String.sub text cut (String.length text - cut)
+
+let codes diags = List.map (fun (d : Diag.t) -> d.Diag.code) diags
+
+let has_net name (c : Circuit.t) =
+  Array.exists (fun (n : Circuit.net) -> List.mem name n.Circuit.names)
+    c.Circuit.nets
+
+(* A deck past a cap keeps [devices] devices with one lvs-ref-too-large
+   and gets no view.  The walk stops at the cap: an instance after it
+   gets no nets and no diagnostic, though its subckt is undefined. *)
+let check_bomb file ~devices =
+  let text = data_file file in
   (match Reference.load text with
   | Ok (c, diags) ->
-      check_int "one lvs-ref-too-large" 1
-        (List.length
-           (List.filter (fun (d : Diag.t) -> d.Diag.code = "lvs-ref-too-large") diags));
-      check_int "no other diagnostic" 1 (List.length diags);
-      check_int "truncated to the cap" 1_000_000 (Circuit.device_count c)
+      check "only lvs-ref-too-large" true
+        (codes diags = [ "lvs-ref-too-large" ]);
+      check_int "truncated at the cap" devices (Circuit.device_count c)
   | Error _ -> Alcotest.fail "bomb deck unreadable");
   check "no view past the cap" true (Reference.hier_view text = None);
-  (* the walk stops at the cap: an instance after it gets no nets and no
-     diagnostic, though its subckt is undefined *)
-  let cut = String.length text - String.length ".END\n" in
-  check "deck ends in .END" true (String.sub text cut 5 = ".END\n");
-  match Reference.load (String.sub text 0 cut ^ "XU P Q NOPE\n.END\n") with
-  | Ok (c, diags) ->
-      check "only lvs-ref-too-large" true
-        (List.map (fun (d : Diag.t) -> d.Diag.code) diags
-        = [ "lvs-ref-too-large" ]);
-      check "no net after the cap" false
-        (Array.exists
-           (fun (n : Circuit.net) -> List.mem "P" n.Circuit.names)
-           c.Circuit.nets)
-  | Error _ -> Alcotest.fail "bomb deck unreadable"
+  let c, diags =
+    Reference.parse (insert_before_last text ".END" "XU P Q NOPE\n")
+  in
+  check "nothing after the cap" true (codes diags = [ "lvs-ref-too-large" ]);
+  check "no net after the cap" false (has_net "P" c)
+
+(* 10^9 devices: the device cap. *)
+let test_expansion_bomb () =
+  check_bomb "regress/ref_expansion_bomb.sp" ~devices:1_000_000
+
+(* One device and 10^9 activations of an empty subckt: the instance
+   cap. *)
+let test_instance_bomb () =
+  check_bomb "regress/ref_instance_bomb.sp" ~devices:1
+
+(* The same two hierarchies as structural-Verilog modules; an instance
+   after the cap, of an unknown primitive, gets no net and no
+   diagnostic. *)
+let check_verilog_bomb file ~devices =
+  let text = data_file file in
+  let c, diags = Verilog.parse text in
+  check "only lvs-ref-too-large" true (codes diags = [ "lvs-ref-too-large" ]);
+  check_int "truncated at the cap" devices (Circuit.device_count c);
+  let c, diags =
+    Verilog.parse (insert_before_last text "endmodule" "  nope u9 (p, q);\n")
+  in
+  check "nothing after the cap" true (codes diags = [ "lvs-ref-too-large" ]);
+  check "no net after the cap" false (has_net "p" c)
+
+let test_verilog_expansion_bomb () =
+  check_verilog_bomb "regress/ref_expansion_bomb.v" ~devices:1_000_000
+
+let test_verilog_instance_bomb () =
+  check_verilog_bomb "regress/ref_instance_bomb.v" ~devices:1
 
 (* ------------------------------------------------------------------ *)
 (* Refinement kernel against the list-based oracle (Lvs_oracle)       *)
@@ -1770,6 +1806,7 @@ let () =
           Alcotest.test_case "wirelist sniff" `Quick test_load_sniffs_wirelist;
           Alcotest.test_case "repeated formal" `Quick test_parse_repeated_formal;
           Alcotest.test_case "expansion bomb" `Quick test_expansion_bomb;
+          Alcotest.test_case "instance bomb" `Quick test_instance_bomb;
           Alcotest.test_case "oracle: data decks" `Quick
             test_reference_oracle_corpus;
           Alcotest.test_case "oracle: key collisions" `Quick
@@ -1816,6 +1853,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_verilog_basics;
           Alcotest.test_case "total on garbage" `Quick test_verilog_total;
           Alcotest.test_case "corpus" `Quick test_verilog_corpus;
+          Alcotest.test_case "expansion bomb" `Quick test_verilog_expansion_bomb;
+          Alcotest.test_case "instance bomb" `Quick test_verilog_instance_bomb;
         ] );
       ( "hier",
         [

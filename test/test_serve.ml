@@ -627,6 +627,31 @@ let test_socket_lvs () =
   close_conn conn;
   shutdown_daemon pid sock
 
+(* A reference deck of 10^9 empty-subckt activations stops at the
+   reader's instance cap, so the lvs request gets its reply and the
+   extract queued behind it gets one too. *)
+let test_once_instance_bomb () =
+  let replies =
+    run_once
+      [
+        lvs_req ~id:1 inverter_cif (data_file "regress/ref_instance_bomb.sp");
+        extract_req ~id:2 (data_file "chain4.cif");
+      ]
+  in
+  check "instance bomb: both requests answered" (List.length replies = 2);
+  match List.map jparse replies with
+  | [ lvs; extract ] ->
+      let codes =
+        match jget (jget lvs "result") "ref_diags" with
+        | Json.Arr l -> List.map (fun d -> jstr (jget d "code")) l
+        | _ -> []
+      in
+      check "instance bomb: one lvs-ref-too-large and nothing after it"
+        (jbool (jget lvs "ok") && codes = [ "lvs-ref-too-large" ]);
+      check "instance bomb: the extract behind it is answered"
+        (jbool (jget extract "ok"))
+  | _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* 3c. Socket lvs: hierarchical compare, Verilog references and       *)
 (* finding caps ride the same cache with byte-identical warm replies  *)
@@ -1891,6 +1916,7 @@ let () =
   test_socket_extract ();
   test_socket_lvs ();
   test_socket_lvs_hier ();
+  test_once_instance_bomb ();
   test_deadline ();
   test_corruption "cache-torn-write";
   test_corruption "cache-bit-flip";
